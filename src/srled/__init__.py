@@ -52,7 +52,6 @@ from .photon import (
     mean_photon_closed,
     mean_photon_quadrature,
     photon_number_spectrum,
-    sample_photon_spectrum,
 )
 from .quadrature import IntegrationSpec, integrate_1d, integrate_2d, spectral_convolution
 from .sweep import SweepRow, SweepSpec, reproduce_figure, run_sweep
@@ -102,7 +101,6 @@ __all__ = [
     "run_sweep",
     "run_validation",
     "sample_commutator_spectrum",
-    "sample_photon_spectrum",
     "sample_population_spectrum",
     "simulate_field_record",
     "spectral_convolution",

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import InvalidParamsError
 from .model import (
     ModelParams,
@@ -121,13 +120,14 @@ def _kernel_matrix_full(params, pops, omega, ring_per_unit):
     the shifted inverse denominators factorize, so the double sum is two
     small matrix products.
     """
-    nodes, ring_w = log_ring_rule(pops.gamma_p, widest_rate(params, pops), per_unit=ring_per_unit)
+    nodes, ring_w, center = log_ring_rule(pops.gamma_p, widest_rate(params, pops),
+                                          per_unit=ring_per_unit)
     inv0 = 1.0 / loop_denominator(params, pops, omega)
     up = 1.0 / loop_denominator(params, pops, nodes[:, None] + omega[None, :])
     dn = 1.0 / loop_denominator(params, pops, -nodes[:, None] + omega[None, :])
     g0 = np.outer(np.conj(inv0), inv0)
     smoothed = (np.conj(up).T * ring_w) @ up + (np.conj(dn).T * ring_w) @ dn
-    return pops.delta2_ne * (g0 * (1.0 - 2.0 * float(np.sum(ring_w))) + smoothed)
+    return pops.delta2_ne * (g0 * center + smoothed)
 
 
 def noise_cumulant(params: ModelParams, pops: Populations, mode: str = "delta",
@@ -149,8 +149,7 @@ def noise_cumulant(params: ModelParams, pops: Populations, mode: str = "delta",
             kmat = _kernel_matrix_delta(params, pops, omega)
         else:
             kmat = _kernel_matrix_full(params, pops, omega, per_unit)
-        abs2 = np.ascontiguousarray(np.abs(kmat) ** 2)
-        return 4.0 / (2.0 * np.pi) ** 2 * kernels.cumulant_reduce(wc, abs2)
+        return 4.0 / (2.0 * np.pi) ** 2 * float(wc @ (np.abs(kmat) ** 2) @ wc)
 
     coarse = evaluate(n_outer // 2, max(ring_per_unit // 2, 6))
     fine = evaluate(n_outer, ring_per_unit)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels
 from .errors import AboveThresholdError, GridMismatchError, InvalidParamsError
 
 
@@ -142,15 +141,6 @@ def _check_below_threshold(params: ModelParams, pops: Populations) -> None:
         )
 
 
-def _apply_kernel(kernel, omega, *args):
-    """Run a 1-D float kernel over scalar or arbitrarily shaped omega."""
-    w = np.asarray(omega, dtype=float)
-    out = kernel(np.ascontiguousarray(w.reshape(-1)), *args)
-    if w.ndim == 0:
-        return float(out[0])
-    return out.reshape(w.shape)
-
-
 def loop_denominator(params: ModelParams, pops: Populations, omega):
     """s(omega), complex; accepts scalars or arrays."""
     w = np.asarray(omega, dtype=float)
@@ -160,9 +150,11 @@ def loop_denominator(params: ModelParams, pops: Populations, omega):
 
 
 def loop_abs2(params: ModelParams, pops: Populations, omega):
-    """|s(omega)|^2 on scalars or arrays."""
+    """|s(omega)|^2 = (A - omega^2)^2 + (B omega)^2 on a float or an array."""
     a, b = loop_coefficients(params, pops)
-    return _apply_kernel(kernels.loop_abs2, omega, a, b)
+    w2 = omega * omega
+    d = a - w2
+    return d * d + b * b * w2
 
 
 def commutator_spectrum(params: ModelParams, pops: Populations, omega):
@@ -170,7 +162,9 @@ def commutator_spectrum(params: ModelParams, pops: Populations, omega):
     _check_below_threshold(params, pops)
     a, b = loop_coefficients(params, pops)
     base = params.gamma_perp * a  # = (kappa gamma_perp^2/2)(1 - N/N_th)
-    return _apply_kernel(kernels.commutator_vals, omega, 2.0 * params.kappa, base, a, b)
+    w2 = omega * omega
+    d = a - w2
+    return (2.0 * params.kappa * w2 + base) / (d * d + b * b * w2)
 
 
 def population_spectrum(pops: Populations, omega):
@@ -179,7 +173,8 @@ def population_spectrum(pops: Populations, omega):
     2 gamma_p delta2_ne / (omega^2 + gamma_p^2); its (2 pi)^-1 integral is
     delta2_ne. Identically zero when fluctuations are disabled.
     """
-    return _apply_kernel(kernels.lorentzian_vals, omega, pops.gamma_p, pops.delta2_ne)
+    gamma = pops.gamma_p
+    return 2.0 * gamma * pops.delta2_ne / (omega * omega + gamma * gamma)
 
 
 def validity_ratio(params: ModelParams) -> float:

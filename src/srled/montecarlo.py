@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import lfilter
 
-from . import kernels
 from .errors import (
     GridMismatchError,
     InvalidParamsError,
@@ -54,15 +54,12 @@ class MonteCarloConfig:
     n_samples  samples per record, a power of two
     n_records  ensemble size
     seed       master seed for the counter-based record streams
-    burn_in    fraction of extra OU steps generated and discarded; 0 uses
-               an exact stationary draw instead (no burn-in needed)
     """
 
     duration: float
     n_samples: int
     n_records: int = 500
     seed: int = 0
-    burn_in: float = 0.0
 
     def __post_init__(self):
         if not self.duration > 0.0:
@@ -71,8 +68,6 @@ class MonteCarloConfig:
             raise InvalidParamsError("n_samples must be a power of two >= 2")
         if self.n_records < 1:
             raise InvalidParamsError("n_records must be >= 1")
-        if not 0.0 <= self.burn_in < 1.0:
-            raise InvalidParamsError("burn_in must be in [0, 1)")
         if self.seed < 0 or self.seed > 2 ** 63:
             raise InvalidParamsError("seed must fit in a 64-bit key")
 
@@ -91,8 +86,8 @@ class MonteCarloConfig:
     @classmethod
     def for_model(cls, params: ModelParams, pops: Populations,
                   n_records: int = 500, seed: int = 0,
-                  min_cycles: float = 50.0, nyquist_factor: float = 10.0,
-                  burn_in: float = 0.0) -> "MonteCarloConfig":
+                  min_cycles: float = 50.0,
+                  nyquist_factor: float = 10.0) -> "MonteCarloConfig":
         """Pick dt and T from the model scales.
 
         Nyquist >= nyquist_factor * (widest spectral rate) and
@@ -103,8 +98,7 @@ class MonteCarloConfig:
             raise InvalidParamsError("gamma_p must be positive")
         dt = np.pi / (nyquist_factor * widest_rate(params, pops))
         n = 1 << max(1, math.ceil(math.log2(min_cycles / pops.gamma_p / dt)))
-        return cls(duration=n * dt, n_samples=n, n_records=n_records,
-                   seed=seed, burn_in=burn_in)
+        return cls(duration=n * dt, n_samples=n, n_records=n_records, seed=seed)
 
 
 def record_rng(config: MonteCarloConfig, record_index: int) -> np.random.Generator:
@@ -153,7 +147,8 @@ def ou_population_path(pops: Populations, config: MonteCarloConfig,
 
     The OU process observed at step dt is exactly AR(1) with
     rho = exp(-gamma_p dt), so the recursion introduces no discretization
-    bias. burn_in > 0 switches to a zero start plus discarded steps.
+    bias. The first sample is an exact stationary draw, so no burn-in is
+    needed.
     """
     if pops.delta2_ne == 0.0:
         return np.zeros(config.n_samples)
@@ -163,13 +158,12 @@ def ou_population_path(pops: Populations, config: MonteCarloConfig,
         )
     rho = math.exp(-pops.gamma_p * config.dt)
     sigma = math.sqrt(pops.delta2_ne * (1.0 - rho * rho))
-    extra = int(math.ceil(config.burn_in * config.n_samples))
-    innov = rng.standard_normal(config.n_samples + extra)
-    if extra > 0:
-        path = kernels.ar1_path(innov, rho, sigma, 0.0)
-        return path[extra:]
-    init = math.sqrt(pops.delta2_ne) * innov[0]
-    return kernels.ar1_path(innov, rho, sigma, init)
+    innov = rng.standard_normal(config.n_samples)
+    # x[0] = init, x[j] = rho x[j-1] + sigma innov[j]; lfilter computes
+    # y[j] = drive[j] + rho y[j-1]
+    drive = sigma * innov
+    drive[0] = math.sqrt(pops.delta2_ne) * innov[0]
+    return lfilter([1.0], [1.0, -rho], drive)
 
 
 def simulate_field_record(params: ModelParams, pops: Populations,

@@ -82,12 +82,6 @@ def photon_number_spectrum(params: ModelParams, pops: Populations, omega):
     return out
 
 
-def sample_photon_spectrum(params, pops, grid):
-    from .model import SpectralDensity
-
-    return SpectralDensity(grid, photon_number_spectrum(params, pops, grid.omegas()), label="n")
-
-
 def mean_photon_closed(params: ModelParams, pops: Populations) -> MeanPhotonResult:
     """Closed-form n0, Delta_n and n."""
     _check_below_threshold(params, pops)
@@ -147,23 +141,25 @@ def _fluctuation_exact_quadrature(params, pops, spec, ring_per_unit=16):
 
     h(x) = (2 pi)^-1 Int c(w - x)/|s(w)|^2 dw and X is Cauchy(gamma_p).
     E[h(X)] = h(0) + Int_0^inf K(w)[2 h(w) - 2 h(0)] dw, with the correction
-    done on a log grid (h is even).
+    done on a log grid (h is even and vanishes at infinity).
     """
     coup2 = fluctuation_coupling(params) ** 2
     h0, h0_err = _shifted_overlap(params, pops, 0.0, 0.0, spec.max_subdivisions)
     abs_tol = max(h0 * 1e-11, 1e-300)
-    nodes, weights = log_ring_rule(pops.gamma_p, widest_rate(params, pops), per_unit=ring_per_unit)
+    nodes, weights, center = log_ring_rule(pops.gamma_p, widest_rate(params, pops),
+                                           per_unit=ring_per_unit)
     h_vals = np.empty_like(nodes)
     acc_err = h0_err
     for k, wk in enumerate(nodes):
         h_vals[k], hk_err = _shifted_overlap(params, pops, wk, abs_tol, spec.max_subdivisions)
         acc_err += 2.0 * weights[k] * hk_err
-    acc = h0 * (1.0 - 2.0 * float(np.sum(weights))) + 2.0 * float(np.sum(weights * h_vals))
-    # refinement estimate: the same sum with every other ring node dropped
-    w2 = 2.0 * weights[::2]
-    coarse = h0 * (1.0 - 2.0 * float(np.sum(w2))) + 2.0 * float(np.sum(w2 * h_vals[::2]))
+    acc = center * h0 + 2.0 * float(np.sum(weights * h_vals))
+    # refinement estimate: the correction sum_k w_k (h_k - h0) against the
+    # same sum with every other ring node dropped
+    fine = float(np.sum(weights * (h_vals - h0)))
+    coarse = 2.0 * float(np.sum(weights[::2] * (h_vals[::2] - h0)))
     scale = pops.delta2_ne * coup2
-    return scale * acc, scale * (acc_err + abs(acc - coarse))
+    return scale * acc, scale * (acc_err + 2.0 * abs(fine - coarse))
 
 
 def mean_photon_quadrature(params: ModelParams, pops: Populations,

@@ -9,7 +9,7 @@ live here too:
   omega = scale * tan(phi), exponentially convergent for the rational
   spectra of this model (they decay at least like omega^-2),
 * ``log_ring_rule``: trapezoid in log omega for Cauchy-kernel smoothing
-  corrections Int_0^inf K(omega) [...] d omega, which carry structure on two
+  E[G(X)], X ~ Cauchy(gamma), whose integrand carries structure on two
   widely separated scales (gamma_p and the loop-filter scale).
 """
 
@@ -23,7 +23,7 @@ from scipy import integrate
 from scipy.signal import fftconvolve
 
 from .errors import GridMismatchError, NonConvergenceError, TailTruncationWarning
-from .model import FrequencyGrid, SpectralDensity
+from .model import SpectralDensity
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,6 @@ class IntegrationSpec:
             raise ValueError("half_width must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-
-    @classmethod
-    def from_grid(cls, grid: FrequencyGrid, **kwargs) -> "IntegrationSpec":
-        return cls(half_width=grid.omega_max, **kwargs)
 
 
 def _limits(spec: IntegrationSpec) -> tuple[float, float]:
@@ -127,14 +123,19 @@ def tan_map_rule(scale: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def log_ring_rule(gamma: float, scale: float, per_unit: int = 24,
-                  pad: float = 16.0) -> tuple[np.ndarray, np.ndarray]:
-    """Positive nodes and weights for Int_0^inf K(omega) g(omega) d omega.
+                  pad: float = 16.0) -> tuple[np.ndarray, np.ndarray, float]:
+    """Cauchy expectation E[G(X)], X ~ Cauchy(gamma), on a log ring.
 
-    K is the Cauchy kernel (gamma/pi)/(omega^2+gamma^2). Trapezoid in
-    t = log omega between gamma e^-pad and max(scale, gamma) e^+pad; the
-    integrand of interest vanishes at both ends (g is a symmetrized
-    difference that is O(omega^2) at 0 and O(1) at infinity, where K
-    supplies omega^-2).
+    Returns (omega, weights, center) with
+    E[G(X)] ~ center G(0) + sum_k weights_k [G(omega_k) + G(-omega_k)]
+    for a G that is smooth at 0 and vanishes at infinity. The weights are
+    the trapezoid rule in t = log omega for Int_0^inf K(omega) g(omega)
+    d omega, K the kernel (gamma/pi)/(omega^2+gamma^2), between
+    omega_lo = gamma e^-pad and omega_top = max(scale, gamma) e^+pad;
+    g = G(omega) + G(-omega) - 2 G(0) is O(omega^2) below omega_lo, so
+    that end needs no correction. Beyond omega_top, g tends to -2 G(0),
+    not to 0: the Cauchy mass there, (1/pi) arctan(gamma/omega_top) per
+    side, goes with G(infinity) = 0 and is taken out of the center weight.
     """
     t_lo = np.log(gamma) - pad
     t_hi = np.log(max(scale, gamma)) + pad
@@ -146,7 +147,9 @@ def log_ring_rule(gamma: float, scale: float, per_unit: int = 24,
     weights = kern * omega * dt
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    return omega, weights
+    tail = float(np.arctan(gamma / omega[-1])) / np.pi
+    center = 1.0 - 2.0 * (float(np.sum(weights)) + tail)
+    return omega, weights, center
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,8 @@ def read_rows(path: Path) -> list[dict]:
     path = Path(path)
     text = path.read_text().splitlines()
     if text and text[0].startswith("{"):
-        return [json.loads(line) for line in text if line.strip()]
+        # one document, so that the records share their key strings
+        return json.loads("[" + ",".join(line for line in text if line.strip()) + "]")
     rows = []
     header = None
     for line in text:

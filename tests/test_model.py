@@ -155,6 +155,20 @@ class TestPopulationSpectrum:
         assert np.all(population_spectrum(pops, w) == 0.0)
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda p, pops, w: loop_abs2(p, pops, w),
+    lambda p, pops, w: commutator_spectrum(p, pops, w),
+    lambda p, pops, w: population_spectrum(pops, w),
+], ids=["loop_abs2", "commutator_spectrum", "population_spectrum"])
+def test_evaluator_accepts_float_and_any_shape(ex1, ex1_pops, evaluate):
+    assert type(evaluate(ex1, ex1_pops, 0.7)) is float
+    w = np.linspace(-6.0, 6.0, 12).reshape(3, 4)
+    out = evaluate(ex1, ex1_pops, w)
+    assert out.shape == (3, 4)
+    scalar = [[evaluate(ex1, ex1_pops, float(x)) for x in row] for row in w]
+    np.testing.assert_array_equal(out, scalar)
+
+
 class TestValidityRatio:
     def test_values(self):
         p1 = ModelParams(kappa=0.5, gamma_par=0.1, pump=0.1,

@@ -146,15 +146,6 @@ class TestOUPath:
         with pytest.raises(StepTooLargeError):
             ou_population_path(ex1_pops, config, record_rng(config, 0))
 
-    def test_burn_in_discards_transient(self, ex1, ex1_pops):
-        config = dataclasses.replace(MonteCarloConfig.for_model(ex1, ex1_pops), burn_in=0.25)
-        nr = 150
-        vals = np.array([np.mean(ou_population_path(ex1_pops, config, record_rng(config, i)) ** 2)
-                         for i in range(nr)])
-        se = vals.std(ddof=1) / np.sqrt(nr)
-        # burn-in long enough (0.25 T ~ 6 correlation times) to look stationary
-        assert abs(vals.mean() - EX1_ORACLE["delta2_ne"]) <= 4.0 * se
-
 
 class TestFieldRecords:
     def test_zero_field_without_emitters_or_noise(self, ex1):

@@ -156,5 +156,6 @@ class TestMeanPhotonQuadrature:
         assert devs[0] < devs[1] < devs[2]
 
     def test_error_estimate_is_honest_ex1(self, ex1, ex1_pops):
-        quad = mean_photon_quadrature(ex1, ex1_pops, mode="delta")
-        assert abs(quad.n_total - EX1_ORACLE["n"]) <= max(quad.error, 1e-12) * 10.0
+        for mode, oracle in (("delta", "n"), ("exact", "n_exact")):
+            quad = mean_photon_quadrature(ex1, ex1_pops, mode=mode)
+            assert abs(quad.n_total - EX1_ORACLE[oracle]) <= max(quad.error, 1e-12) * 10.0, mode
