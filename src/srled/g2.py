@@ -36,7 +36,13 @@ from .model import (
     widest_rate,
 )
 from .photon import fluctuation_coupling, mean_photon_closed, mean_photon_quadrature
-from .quadrature import IntegrationSpec, integrate_1d, log_ring_rule, tan_map_rule
+from .quadrature import (
+    CUMULANT_NODES,
+    IntegrationSpec,
+    commutator_rule,
+    integrate_1d,
+    smoothed_inverse_filter,
+)
 
 METHOD_CLOSED = "closed-form"
 METHOD_DELTA = "cumulant-delta"
@@ -102,36 +108,19 @@ def cumulant_kernel(params: ModelParams, pops: Populations,
     return pops.delta2_ne / np.pi * val
 
 
-def _outer_rule(params, pops, n_nodes):
-    omega, weights = tan_map_rule(widest_rate(params, pops), n_nodes)
-    wc = weights * commutator_spectrum(params, pops, omega)
-    return omega, wc
-
-
 def _kernel_matrix_delta(params, pops, omega):
     inv_s = 1.0 / loop_denominator(params, pops, omega)
     return pops.delta2_ne * np.outer(np.conj(inv_s), inv_s)
 
 
 def _kernel_matrix_full(params, pops, omega, ring_per_unit):
-    """K on the outer grid, Cauchy-smoothed on a shared log ring.
-
-    E[G(X)] = G(0) + Int_0^inf K(w)[G(w) + G(-w) - 2 G(0)] dw for each pair;
-    the shifted inverse denominators factorize, so the double sum is two
-    small matrix products.
-    """
-    nodes, ring_w, center = log_ring_rule(pops.gamma_p, widest_rate(params, pops),
-                                          per_unit=ring_per_unit)
-    inv0 = 1.0 / loop_denominator(params, pops, omega)
-    up = 1.0 / loop_denominator(params, pops, nodes[:, None] + omega[None, :])
-    dn = 1.0 / loop_denominator(params, pops, -nodes[:, None] + omega[None, :])
-    g0 = np.outer(np.conj(inv0), inv0)
-    smoothed = (np.conj(up).T * ring_w) @ up + (np.conj(dn).T * ring_w) @ dn
-    return pops.delta2_ne * (g0 * center + smoothed)
+    """K on the outer grid, Cauchy-smoothed on the shared log ring."""
+    return pops.delta2_ne * smoothed_inverse_filter(params, pops, omega, ring_per_unit)
 
 
 def noise_cumulant(params: ModelParams, pops: Populations, mode: str = "delta",
-                   n_outer: int = 200, ring_per_unit: int = 24) -> tuple[float, float]:
+                   n_outer: int = CUMULANT_NODES[0],
+                   ring_per_unit: int = CUMULANT_NODES[1]) -> tuple[float, float]:
     """The fourth-order field-noise cumulant by 2-D tensor quadrature.
 
     Returns (value, refinement_error). Nonnegative by construction
@@ -144,7 +133,7 @@ def noise_cumulant(params: ModelParams, pops: Populations, mode: str = "delta",
         return 0.0, 0.0
 
     def evaluate(n_nodes, per_unit):
-        omega, wc = _outer_rule(params, pops, n_nodes)
+        omega, wc = commutator_rule(params, pops, n_nodes)
         if mode == "delta":
             kmat = _kernel_matrix_delta(params, pops, omega)
         else:
@@ -162,11 +151,15 @@ def mean_term_cancellation(params: ModelParams, pops: Populations,
     part and the squared-mean subtraction.
 
     Both equal [(2 pi)^-1 Int (c * pop)(w) / |s(w)|^2 dw] but are evaluated
-    here by different nesting orders: (a) smooth c with the Cauchy kernel
-    first, then integrate against |s|^-2; (b) shift the loop filter across
-    the population spectrum (the exact-convolution mean-photon path).
-    Returns (side_a, side_b); agreement confirms the disconnected terms
-    drop out of g2 exactly.
+    here by different nesting orders: (a) nested adaptive quadrature that
+    smooths c with the Cauchy kernel first, then integrates against
+    |s|^-2; (b) the exact-convolution mean-photon path, which smooths the
+    inverse loop filter instead, on the tan-map grid and the log ring of
+    quadrature.smoothed_inverse_filter (the diagonal of the cumulant's
+    full kernel). The two sides share only the spectrum evaluators: (a)
+    uses no fixed rule and smooths the other factor, so it checks the
+    tensor rule rather than repeating it. Returns (side_a, side_b);
+    agreement confirms the disconnected terms drop out of g2 exactly.
     """
     _check_below_threshold(params, pops)
     gamma = pops.gamma_p
@@ -209,7 +202,7 @@ def cumulant_delta_product_form(params: ModelParams, pops: Populations,
 
 
 def g2_bruteforce(params: ModelParams, pops: Populations, mode: str = "delta",
-                  n_outer: int = 200, ring_per_unit: int = 24,
+                  n_outer: int = CUMULANT_NODES[0], ring_per_unit: int = CUMULANT_NODES[1],
                   spec: IntegrationSpec = IntegrationSpec()) -> G2Result:
     """g2 = 2 + (kappa gamma_perp/N_th)^4 C / n^2 with everything numerical.
 

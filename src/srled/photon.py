@@ -10,17 +10,19 @@ Delta_n is the exact closed-form value of the population-fluctuation
 integral (kappa gamma_perp/N_th)^2 delta2_ne (2 pi)^-1 Int c/|s|^2 d omega
 divided by n0, under the narrow-population-spectrum approximation. The
 quadrature paths recompute n independently, either with that approximation
-("delta") or with the full convolution of the commutator and population
-spectra ("exact"), and must agree with the closed form in the delta mode.
+("delta", adaptive QUADPACK) or with the full convolution of the commutator
+and population spectra ("exact"), and must agree with the closed form in the
+delta mode. The exact mode smooths the inverse loop filter over the
+population Lorentzian with quadrature.smoothed_inverse_filter, the rule the
+full-Lorentzian cumulant of srled.g2 uses too: n is the diagonal of that
+cumulant's kernel integrated against c.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import InvalidParamsError
 from .model import (
@@ -29,9 +31,14 @@ from .model import (
     _check_below_threshold,
     commutator_spectrum,
     loop_abs2,
-    widest_rate,
 )
-from .quadrature import IntegrationSpec, integrate_1d, log_ring_rule
+from .quadrature import (
+    EXACT_N_NODES,
+    IntegrationSpec,
+    commutator_rule,
+    integrate_1d,
+    smoothed_inverse_filter,
+)
 
 METHOD_CLOSED = "closed-form"
 METHOD_DELTA = "quadrature-delta-approx"
@@ -111,55 +118,24 @@ def _fluctuation_delta_quadrature(params, pops, spec):
     return scale * val, scale * err
 
 
-def _shifted_overlap(params, pops, shift, abs_tol, max_subdivisions):
-    """(2 pi)^-1 Int c(w) / |s(w + shift)|^2 dw, robust for large shifts.
-
-    The integrand has peaks near w = 0 (commutator spectrum) and
-    w = -shift (shifted loop filter); both are passed to QUADPACK as
-    break points. The truncated tail beyond |shift| + 60 scale decays like
-    w^-6 and is far below abs_tol for the model's spectra.
-    """
-    scale = widest_rate(params, pops)
-    width = abs(shift) + 60.0 * scale
-    pts = sorted({p for p in (-shift - 4.0 * scale, -shift, -shift + 4.0 * scale,
-                              -4.0 * scale, 0.0, 4.0 * scale)
-                  if -width < p < width})
-
-    def integrand(w):
-        return commutator_spectrum(params, pops, w) / loop_abs2(params, pops, w + shift)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(integrand, -width, width, points=pts,
-                                  epsabs=abs_tol * 2.0 * np.pi, epsrel=1e-11,
-                                  limit=max_subdivisions)
-    return val / (2.0 * np.pi), err / (2.0 * np.pi)
-
-
-def _fluctuation_exact_quadrature(params, pops, spec, ring_per_unit=16):
+def _fluctuation_exact(params, pops):
     """Cauchy-smoothed fluctuation term: delta2_ne coup^2 E_X[h(X)].
 
-    h(x) = (2 pi)^-1 Int c(w - x)/|s(w)|^2 dw and X is Cauchy(gamma_p).
-    E[h(X)] = h(0) + Int_0^inf K(w)[2 h(w) - 2 h(0)] dw, with the correction
-    done on a log grid (h is even and vanishes at infinity).
+    h(x) = (2 pi)^-1 Int c(w)/|s(w + x)|^2 dw and X is Cauchy(gamma_p):
+    the tan-map rule over w against the diagonal of the smoothed inverse
+    filter. Refinement estimate: EXACT_N_NODES against half the outer and
+    half the ring nodes.
     """
-    coup2 = fluctuation_coupling(params) ** 2
-    h0, h0_err = _shifted_overlap(params, pops, 0.0, 0.0, spec.max_subdivisions)
-    abs_tol = max(h0 * 1e-11, 1e-300)
-    nodes, weights, center = log_ring_rule(pops.gamma_p, widest_rate(params, pops),
-                                           per_unit=ring_per_unit)
-    h_vals = np.empty_like(nodes)
-    acc_err = h0_err
-    for k, wk in enumerate(nodes):
-        h_vals[k], hk_err = _shifted_overlap(params, pops, wk, abs_tol, spec.max_subdivisions)
-        acc_err += 2.0 * weights[k] * hk_err
-    acc = center * h0 + 2.0 * float(np.sum(weights * h_vals))
-    # refinement estimate: the correction sum_k w_k (h_k - h0) against the
-    # same sum with every other ring node dropped
-    fine = float(np.sum(weights * (h_vals - h0)))
-    coarse = 2.0 * float(np.sum(weights[::2] * (h_vals[::2] - h0)))
-    scale = pops.delta2_ne * coup2
-    return scale * acc, scale * (acc_err + 2.0 * abs(fine - coarse))
+    scale = pops.delta2_ne * fluctuation_coupling(params) ** 2 / (2.0 * np.pi)
+
+    def evaluate(n_outer, per_unit):
+        omega, wc = commutator_rule(params, pops, n_outer)
+        return scale * float(wc @ smoothed_inverse_filter(params, pops, omega, per_unit,
+                                                          diagonal=True))
+
+    n_outer, per_unit = EXACT_N_NODES
+    fine = evaluate(n_outer, per_unit)
+    return fine, abs(fine - evaluate(n_outer // 2, per_unit // 2))
 
 
 def mean_photon_quadrature(params: ModelParams, pops: Populations,
@@ -167,10 +143,13 @@ def mean_photon_quadrature(params: ModelParams, pops: Populations,
                            spec: IntegrationSpec = IntegrationSpec()) -> MeanPhotonResult:
     """Mean photon number by numerical integration of the spectrum.
 
-    mode="delta" integrates the delta-approximation spectrum and must match
-    mean_photon_closed to 1e-5 relative; mode="exact" replaces
+    mode="delta" integrates the delta-approximation spectrum adaptively and
+    must match mean_photon_closed to 1e-5 relative; mode="exact" replaces
     c(omega) delta2_ne by the full convolution with the Lorentzian
-    population spectrum and reports the (physical) discrepancy.
+    population spectrum and reports the (physical) discrepancy. In both
+    modes n0 is an adaptive integral under spec. The exact fluctuation term
+    is a fixed tensor rule (see _fluctuation_exact) that spec does not
+    govern; its error is a node-halving refinement estimate.
     """
     _check_below_threshold(params, pops)
     if mode not in ("delta", "exact"):
@@ -181,7 +160,7 @@ def mean_photon_quadrature(params: ModelParams, pops: Populations,
     elif mode == "delta":
         fluct, fluct_err = _fluctuation_delta_quadrature(params, pops, spec)
     else:
-        fluct, fluct_err = _fluctuation_exact_quadrature(params, pops, spec)
+        fluct, fluct_err = _fluctuation_exact(params, pops)
     total = n0 + fluct
     delta_n = fluct / n0 if n0 > 0.0 else 0.0
     method = METHOD_DELTA if mode == "delta" else METHOD_EXACT

@@ -10,7 +10,13 @@ live here too:
   spectra of this model (they decay at least like omega^-2),
 * ``log_ring_rule``: trapezoid in log omega for Cauchy-kernel smoothing
   E[G(X)], X ~ Cauchy(gamma), whose integrand carries structure on two
-  widely separated scales (gamma_p and the loop-filter scale).
+  widely separated scales (gamma_p and the loop-filter scale),
+* ``commutator_rule`` and ``smoothed_inverse_filter``: the two halves of
+  every full-Lorentzian (population-smoothed) quantity, the weights
+  w_j c(omega_j) of the outer tan-map rule and the inverse loop filter on
+  that grid, Cauchy-smoothed over the log ring. The exact mean photon
+  number takes the diagonal of the latter and the fourth-order cumulant
+  the whole matrix.
 """
 
 from __future__ import annotations
@@ -20,10 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.linalg import blas
 from scipy.signal import fftconvolve
 
 from .errors import GridMismatchError, NonConvergenceError, TailTruncationWarning
-from .model import SpectralDensity
+from .model import (
+    SpectralDensity,
+    commutator_spectrum,
+    loop_abs2,
+    loop_denominator,
+    widest_rate,
+)
 
 
 @dataclass(frozen=True)
@@ -150,6 +163,60 @@ def log_ring_rule(gamma: float, scale: float, per_unit: int = 24,
     tail = float(np.arctan(gamma / omega[-1])) / np.pi
     center = 1.0 - 2.0 * (float(np.sum(weights)) + tail)
     return omega, weights, center
+
+
+# Node counts (outer tan-map nodes, ring nodes per unit of log omega) of the
+# tensor rules, each refined against half as many outer and ring nodes: the
+# fourth-order cumulant (the defaults of g2.noise_cumulant) and the exact
+# mean photon number, whose diagonal sum needs the finer ring: with 24 ring
+# nodes per unit it is off by 1.6e-8 relative at EX1, with 48 by 1.4e-9.
+CUMULANT_NODES = (200, 24)
+EXACT_N_NODES = (200, 48)
+# ring nodes per block of smoothed_inverse_filter: a block's filters,
+# shifted by +nu and -nu, are 2 x 64 x n_outer values whatever the ring
+# length (~1000 nodes at 24 per unit and gamma_par = 1e-4)
+RING_BLOCK = 64
+
+
+def commutator_rule(params, pops, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outer nodes omega_j and weights w_j c(omega_j) on the tan map."""
+    omega, weights = tan_map_rule(widest_rate(params, pops), n_nodes)
+    return omega, weights * commutator_spectrum(params, pops, omega)
+
+
+def smoothed_inverse_filter(params, pops, omega: np.ndarray, per_unit: int,
+                            diagonal: bool = False) -> np.ndarray:
+    """E[conj(1/s(omega_i + X)) / s(omega_j + X)], X ~ Cauchy(gamma_p).
+
+    The Cauchy expectation runs on log_ring_rule(gamma_p, widest_rate):
+    center G(0) + sum_k w_k [G(nu_k) + G(-nu_k)], where the inverse filters
+    shifted by +-nu_k factorize, so the matrix is a weighted Gram matrix of
+    the shifted filters. The ring is walked RING_BLOCK nodes at a time.
+    With diagonal=True only the real diagonal E|s(omega_j + X)|^-2 is
+    formed, from |s|^2 directly.
+    """
+    nodes, ring_w, center = log_ring_rule(pops.gamma_p, widest_rate(params, pops),
+                                          per_unit=per_unit)
+    if diagonal:
+        out = center / loop_abs2(params, pops, omega)
+    else:
+        inv0 = 1.0 / loop_denominator(params, pops, omega)
+        # Fortran order lets zherk add each block in place
+        out = np.asfortranarray(center * np.outer(np.conj(inv0), inv0))
+    for start in range(0, nodes.size, RING_BLOCK):
+        nu = nodes[start:start + RING_BLOCK, None]
+        shifted = np.concatenate((omega + nu, omega - nu))
+        w = np.tile(ring_w[start:start + RING_BLOCK], 2)
+        if diagonal:
+            out += w @ (1.0 / loop_abs2(params, pops, shifted))
+        else:
+            # Hermitian rank-k update of the upper triangle, half the work
+            # of a general product: out += a^H a with a = sqrt(w) / s
+            a = np.sqrt(w)[:, None] / loop_denominator(params, pops, shifted)
+            out = blas.zherk(1.0, a, beta=1.0, c=out, trans=2, overwrite_c=1)
+    if diagonal:
+        return out
+    return np.triu(out) + np.conj(np.triu(out, 1)).T
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,18 @@ EX1_ORACLE = {
     "g2_full": 2.14721152,
 }
 
+# Exact-convolution n along the gamma_par scan, other parameters as EX1:
+# independent nested QUADPACK (perfbench/reference.py, error estimates
+# about 2e-14); the adaptive per-node path agreed with each to 4e-12
+# relative. gamma_par = 1e-4 is left out: there the nested rule itself is
+# off by about 4e-8.
+N_EXACT_SCAN = {
+    1e-3: 0.053903308370418644,
+    1e-2: 0.05382866602501524,
+    1e-1: EX1_ORACLE["n_exact"],
+    1.0: 0.04935932704269321,
+}
+
 
 @pytest.fixture(scope="session")
 def ex1():

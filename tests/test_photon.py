@@ -20,7 +20,7 @@ from srled import (
 )
 from srled.photon import METHOD_CLOSED, METHOD_DELTA, METHOD_EXACT
 
-from conftest import EX1_ORACLE
+from conftest import EX1_ORACLE, N_EXACT_SCAN
 
 
 class TestPhotonSpectrum:
@@ -159,3 +159,43 @@ class TestMeanPhotonQuadrature:
         for mode, oracle in (("delta", "n"), ("exact", "n_exact")):
             quad = mean_photon_quadrature(ex1, ex1_pops, mode=mode)
             assert abs(quad.n_total - EX1_ORACLE[oracle]) <= max(quad.error, 1e-12) * 10.0, mode
+
+    @pytest.mark.parametrize("gamma_par", sorted(N_EXACT_SCAN))
+    def test_exact_error_estimate_is_honest_on_scan(self, ex1, gamma_par):
+        params = dataclasses.replace(ex1, gamma_par=gamma_par)
+        quad = mean_photon_quadrature(params, derive_populations(params), mode="exact")
+        assert abs(quad.n_total - N_EXACT_SCAN[gamma_par]) <= 10.0 * quad.error
+        assert quad.error <= 1e-6 * quad.n_total
+
+    def test_exact_fluctuation_is_cumulant_kernel_diagonal(self, ex1, ex1_pops):
+        # one Cauchy smoothing: exact n is the diagonal of the full kernel
+        from srled.g2 import _kernel_matrix_full
+        from srled.photon import fluctuation_coupling
+        from srled.quadrature import EXACT_N_NODES, commutator_rule
+
+        n_outer, per_unit = EXACT_N_NODES
+        omega, wc = commutator_rule(ex1, ex1_pops, n_outer)
+        kdiag = np.diag(_kernel_matrix_full(ex1, ex1_pops, omega, per_unit))
+        expected = fluctuation_coupling(ex1) ** 2 / (2.0 * np.pi) * float(wc @ kdiag.real)
+        assert np.all(np.abs(kdiag.imag) <= 1e-14 * kdiag.real)
+        quad = mean_photon_quadrature(ex1, ex1_pops, mode="exact")
+        assert quad.n_total - quad.n0 == pytest.approx(expected, rel=1e-12)
+
+    def test_exact_mode_peak_memory_below_full_cumulant(self, ex1):
+        import tracemalloc
+
+        from srled import noise_cumulant
+
+        params = dataclasses.replace(ex1, gamma_par=1e-4)
+        pops = derive_populations(params)
+        peaks = {}
+        for name, run in (("exact", lambda: mean_photon_quadrature(params, pops, mode="exact")),
+                          ("cumulant", lambda: noise_cumulant(params, pops, mode="full"))):
+            run()  # first calls also allocate once-only state
+            tracemalloc.start()
+            try:
+                run()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["exact"] < peaks["cumulant"], peaks

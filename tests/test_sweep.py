@@ -154,10 +154,22 @@ class TestReproduceFigures:
         dn = [r["delta_n"] for r in rows]
         assert all(b > a for a, b in zip(dn, dn[1:]))
 
+    def test_plot_script_names_every_dataset(self, tmp_path):
+        paths = reproduce_figure("fig3", n_emitters=20.0, out_dir=tmp_path, steps=6)
+        script = tmp_path / "plot_fig3.py"
+        assert script in paths
+        source = script.read_text()
+        compile(source, str(script), "exec")
+        csvs = [p.name for p in paths if p.suffix == ".csv"]
+        assert len(csvs) == 3
+        for name in csvs:
+            assert repr(name) in source, name
+
     def test_plot_script_runs(self, tmp_path):
         import subprocess
         import sys
 
+        pytest.importorskip("matplotlib")
         reproduce_figure("fig3", n_emitters=20.0, out_dir=tmp_path, steps=6)
         proc = subprocess.run([sys.executable, str(tmp_path / "plot_fig3.py")],
                               capture_output=True, text=True)
