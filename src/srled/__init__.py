@@ -12,6 +12,7 @@ from .errors import (
     InvalidParamsError,
     ModelError,
     NonConvergenceError,
+    RecordTooLongError,
     StepTooLargeError,
     TailTruncationWarning,
     TooFewRecordsError,
@@ -73,6 +74,7 @@ __all__ = [
     "MonteCarloConfig",
     "NonConvergenceError",
     "Populations",
+    "RecordTooLongError",
     "SpectralDensity",
     "StepTooLargeError",
     "SweepRow",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from .errors import ModelError
@@ -130,9 +131,12 @@ def _cmd_mc(args) -> int:
     params = _resolve_params(args)
     pops = derive_populations(params)
     config = MonteCarloConfig.for_model(params, pops, n_records=args.records, seed=args.seed)
+    t0 = time.perf_counter()
     est = run_monte_carlo(params, pops, config)
+    wall = time.perf_counter() - t0
     print(f"records = {est.n_records}  samples/record = {config.n_samples}  "
           f"duration = {config.duration:.4g}")
+    print(f"wall = {wall:.3g} s  samples/s = {config.n_samples * config.n_records / wall:.3g}")
     print(f"n  = {est.n:.6g} +- {est.n_se:.2g}")
     print(f"g2 = {est.g2:.6g} +- {est.g2_se:.2g}")
     return 0

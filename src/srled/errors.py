@@ -29,6 +29,10 @@ class StepTooLargeError(ModelError, ValueError):
     """Time step too coarse to resolve the population decay rate."""
 
 
+class RecordTooLongError(ModelError, ValueError):
+    """A Monte Carlo record would exceed the record-length budget."""
+
+
 class TooFewRecordsError(ModelError, ValueError):
     """Moment estimation needs a minimum ensemble size."""
 

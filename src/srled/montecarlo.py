@@ -17,6 +17,22 @@ estimates must agree with the analytic pipeline.
 
 Per-record RNG streams are counter-based (Philox keyed by master seed and
 record index), so ensembles are bit-reproducible regardless of scheduling.
+
+An ensemble computes what its records share once: the loop filter s and
+the amplitude sqrt(c/T) on the record grid, the drive amplitude and the
+AR(1) constants. It then synthesizes records in blocks of at most
+``BLOCK_SAMPLES`` samples. Each row of a block is drawn from its own record
+stream (drive, colored noise, OU innovations, in that order), the whole
+block is transformed at once (FFTs and the AR(1) filter along the last
+axis, arithmetic in place), and each row is reduced to its <|a|^2> and
+<|a|^4> before the next block starts. The one-record functions
+``simulate_field_record``, ``synthesize_colored_noise`` and
+``ou_population_path`` are the one-row case of the same draw and transform
+steps, so a record is bit-identical however it is produced.
+
+A record holds at most ``MAX_RECORD_SAMPLES`` samples; a longer one (small
+gamma_p needs records of about 50/gamma_p) is refused with
+``RecordTooLongError`` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -30,6 +46,7 @@ from scipy.signal import lfilter
 from .errors import (
     GridMismatchError,
     InvalidParamsError,
+    RecordTooLongError,
     StepTooLargeError,
     TooFewRecordsError,
 )
@@ -44,6 +61,11 @@ from .model import (
 )
 
 _MIN_RECORDS = 30
+# longest record: 2^20 complex samples is ~16 MiB per working array
+MAX_RECORD_SAMPLES = 1 << 20
+# samples per synthesis block; a block holds max(1, BLOCK_SAMPLES // n) records
+BLOCK_SAMPLES = 1 << 15
+_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -51,7 +73,7 @@ class MonteCarloConfig:
     """Record geometry and ensemble size.
 
     duration   record length T (units of 1/gamma_perp); dt = T / n_samples
-    n_samples  samples per record, a power of two
+    n_samples  samples per record, a power of two, at most MAX_RECORD_SAMPLES
     n_records  ensemble size
     seed       master seed for the counter-based record streams
     """
@@ -66,6 +88,11 @@ class MonteCarloConfig:
             raise InvalidParamsError("duration must be positive")
         if self.n_samples < 2 or self.n_samples & (self.n_samples - 1):
             raise InvalidParamsError("n_samples must be a power of two >= 2")
+        if self.n_samples > MAX_RECORD_SAMPLES:
+            raise RecordTooLongError(
+                f"{self.n_samples} samples per record exceed the budget of "
+                f"{MAX_RECORD_SAMPLES}; gamma_p is too small for a Monte Carlo record"
+            )
         if self.n_records < 1:
             raise InvalidParamsError("n_records must be >= 1")
         if self.seed < 0 or self.seed > 2 ** 63:
@@ -92,7 +119,8 @@ class MonteCarloConfig:
 
         Nyquist >= nyquist_factor * (widest spectral rate) and
         T >= min_cycles / gamma_p so the record resolves both the broad
-        field spectrum and the narrow population spectrum.
+        field spectrum and the narrow population spectrum. Raises
+        RecordTooLongError when that takes more than MAX_RECORD_SAMPLES.
         """
         if pops.gamma_p <= 0.0:
             raise InvalidParamsError("gamma_p must be positive")
@@ -115,10 +143,112 @@ def check_config(params: ModelParams, pops: Populations, config: MonteCarloConfi
             f"need at least {50.0 / pops.gamma_p:.3g}"
         )
     nyquist = np.pi / config.dt
-    if nyquist < 10.0 * max(params.kappa, params.gamma_perp) * (1.0 - 1e-9):
+    if nyquist < 10.0 * widest_rate(params, pops) * (1.0 - 1e-9):
         raise InvalidParamsError(
-            f"Nyquist {nyquist:.3g} below 10x the widest decay rate"
+            f"Nyquist {nyquist:.3g} below 10x the widest spectral rate"
         )
+
+
+# -- draw: one record's Gaussian variates from its own stream ----------------
+
+def _draw_circular(rng: np.random.Generator, row: np.ndarray) -> None:
+    """Fill a complex row with N(0,1) + i N(0,1): real parts drawn first."""
+    row.real = rng.standard_normal(row.size)
+    row.imag = rng.standard_normal(row.size)
+
+
+# -- constants shared by all records; transforms in place on any number of
+# -- rows, along the last axis
+
+def _colored_amplitude(spectrum: SpectralDensity,
+                       config: MonteCarloConfig) -> np.ndarray | None:
+    """sqrt(S/T) in FFT bin order; None when S has no positive sample."""
+    if spectrum.grid != config.frequency_grid():
+        raise GridMismatchError("spectrum is not sampled on the record grid")
+    vals = np.fft.ifftshift(spectrum.values)  # sorted -> fft bin order
+    if not np.any(vals > 0.0):
+        return None
+    return np.sqrt(vals / config.duration)
+
+
+def _colored_series(xi: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """x(t_j) = sum_m amp_m xi_m exp(-i omega_m t_j) / sqrt(2), overwriting xi."""
+    xi /= _SQRT2
+    xi *= amp
+    return np.fft.fft(xi, axis=-1, out=xi)
+
+
+def _ou_constants(pops: Populations, config: MonteCarloConfig):
+    """(rho, sigma, stationary sd) of the AR(1) path; None without dispersion."""
+    if pops.delta2_ne == 0.0:
+        return None
+    if pops.gamma_p * config.dt > 0.1:
+        raise StepTooLargeError(
+            f"gamma_p dt = {pops.gamma_p * config.dt:.3g} > 0.1; refine the sampling"
+        )
+    rho = math.exp(-pops.gamma_p * config.dt)
+    return rho, math.sqrt(pops.delta2_ne * (1.0 - rho * rho)), math.sqrt(pops.delta2_ne)
+
+
+def _ou_series(innov: np.ndarray, ou) -> np.ndarray:
+    """AR(1) paths from standard-normal innovations, which are overwritten."""
+    rho, sigma, sd = ou
+    # x[0] = sd innov[0], x[j] = rho x[j-1] + sigma innov[j]; lfilter computes
+    # y[j] = drive[j] + rho y[j-1]
+    first = innov[..., 0] * sd
+    innov *= sigma
+    innov[..., 0] = first
+    return lfilter([1.0], [1.0, -rho], innov, axis=-1)
+
+
+class _Ensemble:
+    """What every record of one (params, pops, config) shares, computed once."""
+
+    def __init__(self, params: ModelParams, pops: Populations, config: MonteCarloConfig):
+        self.n_samples = config.n_samples
+        self.s_vals = loop_denominator(params, pops, config.omegas())
+        # zero-order drive: flat PSD chosen so the filtered record reproduces
+        # the zero-order photon spectrum (kappa gamma_perp^2 / 2 N_th) N_e / |s|^2
+        drive_psd = 0.5 * params.kappa * params.gamma_perp ** 2 * pops.n_excited / params.n_threshold
+        self.drive_amp = np.sqrt(drive_psd / config.duration)
+        self.c_amp = self.ou = None
+        if pops.delta2_ne > 0.0:
+            grid = config.frequency_grid()
+            c_sorted = SpectralDensity(grid, commutator_spectrum(params, pops, grid.omegas()),
+                                       label="c")
+            self.ou = _ou_constants(pops, config)
+            self.c_amp = _colored_amplitude(c_sorted, config)
+        self.coupling = params.kappa * params.gamma_perp / params.n_threshold
+
+    def buffers(self, rows: int):
+        """Drive, colored-noise and innovation arrays for a block of rows."""
+        shape = (rows, self.n_samples)
+        if self.c_amp is None:
+            return np.empty(shape, dtype=complex), None, None
+        return np.empty(shape, dtype=complex), np.empty(shape, dtype=complex), np.empty(shape)
+
+    def draw(self, rng: np.random.Generator, row: int, bufs) -> None:
+        """One record's variates into row `row` of the block buffers."""
+        drive, colored, innov = bufs
+        _draw_circular(rng, drive[row])
+        if colored is not None:
+            _draw_circular(rng, colored[row])
+            rng.standard_normal(out=innov[row])
+
+    def fields(self, bufs) -> np.ndarray:
+        """Field records a(t) of the drawn rows; the buffers are overwritten."""
+        drive, colored, innov = bufs
+        drive /= _SQRT2
+        drive *= self.drive_amp
+        if colored is not None:
+            b = _colored_series(colored, self.c_amp)
+            np.conjugate(b, out=b)
+            b *= _ou_series(innov, self.ou)
+            mix = np.fft.ifft(b, axis=-1, out=b)
+            mix *= self.coupling
+            drive += mix
+        drive /= self.s_vals
+        return np.fft.fft(drive, axis=-1, out=drive)
 
 
 def synthesize_colored_noise(spectrum: SpectralDensity, config: MonteCarloConfig,
@@ -130,15 +260,12 @@ def synthesize_colored_noise(spectrum: SpectralDensity, config: MonteCarloConfig
     Var x = (2 pi)^-1 Int S d omega over the record band, with independent
     real and imaginary quadratures.
     """
-    if spectrum.grid != config.frequency_grid():
-        raise GridMismatchError("spectrum is not sampled on the record grid")
-    vals = np.fft.ifftshift(spectrum.values)  # sorted -> fft bin order
-    if not np.any(vals > 0.0):
+    amp = _colored_amplitude(spectrum, config)
+    if amp is None:
         return np.zeros(config.n_samples, dtype=complex)
-    xi = (rng.standard_normal(config.n_samples)
-          + 1j * rng.standard_normal(config.n_samples)) / np.sqrt(2.0)
-    coeffs = np.sqrt(vals / config.duration) * xi
-    return np.fft.fft(coeffs)
+    xi = np.empty(config.n_samples, dtype=complex)
+    _draw_circular(rng, xi)
+    return _colored_series(xi, amp)
 
 
 def ou_population_path(pops: Populations, config: MonteCarloConfig,
@@ -150,43 +277,20 @@ def ou_population_path(pops: Populations, config: MonteCarloConfig,
     bias. The first sample is an exact stationary draw, so no burn-in is
     needed.
     """
-    if pops.delta2_ne == 0.0:
+    ou = _ou_constants(pops, config)
+    if ou is None:
         return np.zeros(config.n_samples)
-    if pops.gamma_p * config.dt > 0.1:
-        raise StepTooLargeError(
-            f"gamma_p dt = {pops.gamma_p * config.dt:.3g} > 0.1; refine the sampling"
-        )
-    rho = math.exp(-pops.gamma_p * config.dt)
-    sigma = math.sqrt(pops.delta2_ne * (1.0 - rho * rho))
-    innov = rng.standard_normal(config.n_samples)
-    # x[0] = init, x[j] = rho x[j-1] + sigma innov[j]; lfilter computes
-    # y[j] = drive[j] + rho y[j-1]
-    drive = sigma * innov
-    drive[0] = math.sqrt(pops.delta2_ne) * innov[0]
-    return lfilter([1.0], [1.0, -rho], drive)
+    return _ou_series(rng.standard_normal(config.n_samples), ou)
 
 
 def simulate_field_record(params: ModelParams, pops: Populations,
                           config: MonteCarloConfig,
                           rng: np.random.Generator) -> np.ndarray:
     """One complex field record a(t) of the linear below-threshold model."""
-    omegas = config.omegas()
-    s_vals = loop_denominator(params, pops, omegas)
-    # zero-order drive: flat PSD chosen so the filtered record reproduces
-    # the zero-order photon spectrum (kappa gamma_perp^2 / 2 N_th) N_e / |s|^2
-    drive_psd = 0.5 * params.kappa * params.gamma_perp ** 2 * pops.n_excited / params.n_threshold
-    xi = (rng.standard_normal(config.n_samples)
-          + 1j * rng.standard_normal(config.n_samples)) / np.sqrt(2.0)
-    coeffs = np.sqrt(drive_psd / config.duration) * xi
-    if pops.delta2_ne > 0.0:
-        grid = config.frequency_grid()
-        c_sorted = SpectralDensity(grid, commutator_spectrum(params, pops, grid.omegas()), label="c")
-        b = synthesize_colored_noise(c_sorted, config, rng)
-        delta_n = ou_population_path(pops, config, rng)
-        product = np.conj(b) * delta_n
-        coeffs = coeffs + (params.kappa * params.gamma_perp / params.n_threshold) \
-            * np.fft.ifft(product)
-    return np.fft.fft(coeffs / s_vals)
+    ensemble = _Ensemble(params, pops, config)
+    bufs = ensemble.buffers(1)
+    ensemble.draw(rng, 0, bufs)
+    return ensemble.fields(bufs)[0]
 
 
 @dataclass(frozen=True)
@@ -204,23 +308,26 @@ class MomentEstimate:
             raise InvalidParamsError("standard errors must be positive")
 
 
-def estimate_moments(records) -> MomentEstimate:
-    """n = <<|a|^2>>, g2 = <<|a|^4>> / n^2 over an ensemble of records.
+def _require_records(n_rec: int) -> None:
+    if n_rec < _MIN_RECORDS:
+        raise TooFewRecordsError(f"need at least {_MIN_RECORDS} records, got {n_rec}")
+
+
+def _record_means(intensity: np.ndarray) -> tuple[float, float]:
+    """<|a|^2> and <|a|^4> of one record, from its |a|^2."""
+    return float(np.mean(intensity)), float(np.mean(intensity * intensity))
+
+
+def _estimate_from_means(means) -> MomentEstimate:
+    """n = <<|a|^2>>, g2 = <<|a|^4>> / n^2 from per-record (<|a|^2>, <|a|^4>).
 
     Standard errors come from record-to-record scatter: directly for n,
     leave-one-out jackknife for the ratio estimator g2.
     """
-    intensity_means = []
-    fourth_means = []
-    for rec in records:
-        i2 = np.abs(np.asarray(rec)) ** 2
-        intensity_means.append(float(np.mean(i2)))
-        fourth_means.append(float(np.mean(i2 * i2)))
-    n_rec = len(intensity_means)
-    if n_rec < _MIN_RECORDS:
-        raise TooFewRecordsError(f"need at least {_MIN_RECORDS} records, got {n_rec}")
-    nr = np.asarray(intensity_means)
-    qr = np.asarray(fourth_means)
+    n_rec = len(means)
+    _require_records(n_rec)
+    nr = np.asarray([m[0] for m in means])
+    qr = np.asarray([m[1] for m in means])
     n_hat = float(np.mean(nr))
     q_hat = float(np.mean(qr))
     if n_hat <= 0.0:
@@ -234,12 +341,25 @@ def estimate_moments(records) -> MomentEstimate:
     return MomentEstimate(n=n_hat, g2=g2_hat, n_se=n_se, g2_se=g2_se, n_records=n_rec)
 
 
+def estimate_moments(records) -> MomentEstimate:
+    """n = <<|a|^2>>, g2 = <<|a|^4>> / n^2 over an ensemble of records."""
+    return _estimate_from_means([_record_means(np.abs(np.asarray(rec)) ** 2)
+                                 for rec in records])
+
+
 def run_monte_carlo(params: ModelParams, pops: Populations,
                     config: MonteCarloConfig) -> MomentEstimate:
-    """Simulate the ensemble and estimate moments, deterministically."""
+    """Simulate the ensemble block by block and estimate moments, deterministically."""
     check_config(params, pops, config)
-    records = (
-        simulate_field_record(params, pops, config, record_rng(config, i))
-        for i in range(config.n_records)
-    )
-    return estimate_moments(records)
+    _require_records(config.n_records)
+    ensemble = _Ensemble(params, pops, config)
+    rows = max(1, BLOCK_SAMPLES // config.n_samples)
+    block = ensemble.buffers(rows)  # reused, so a block's arrays are allocated once
+    means = []
+    for start in range(0, config.n_records, rows):
+        stop = min(start + rows, config.n_records)
+        bufs = [None if b is None else b[:stop - start] for b in block]
+        for row, index in enumerate(range(start, stop)):
+            ensemble.draw(record_rng(config, index), row, bufs)
+        means += [_record_means(i) for i in np.abs(ensemble.fields(bufs)) ** 2]
+    return _estimate_from_means(means)

@@ -62,6 +62,7 @@ def test_mc_command(capsys):
     assert main(["mc", "--records", "60", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "g2 =" in out and "+-" in out
+    assert "wall = " in out and "samples/s = " in out
 
 
 def test_reproduce_figure(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Stochastic records: synthesis fidelity, OU statistics, moment estimates."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from srled import (
     InvalidParamsError,
     ModelParams,
+    MomentEstimate,
     MonteCarloConfig,
+    RecordTooLongError,
     SpectralDensity,
     StepTooLargeError,
     TooFewRecordsError,
@@ -23,7 +26,7 @@ from srled import (
 )
 from srled.errors import GridMismatchError
 from srled.model import commutator_spectrum
-from srled.montecarlo import record_rng
+from srled.montecarlo import MAX_RECORD_SAMPLES, check_config, record_rng
 
 from conftest import EX1_ORACLE
 
@@ -43,6 +46,25 @@ class TestConfig:
         assert config.duration >= 50.0 / ex1_pops.gamma_p * (1.0 - 1e-12)
         assert np.pi / config.dt >= 10.0 * max(ex1.kappa, ex1.gamma_perp)
         assert ex1_pops.gamma_p * config.dt <= 0.1
+
+    def test_record_budget_rejects_long_records(self):
+        MonteCarloConfig(duration=1.0, n_samples=MAX_RECORD_SAMPLES)
+        with pytest.raises(RecordTooLongError):
+            MonteCarloConfig(duration=1.0, n_samples=2 * MAX_RECORD_SAMPLES)
+
+    def test_for_model_refuses_tiny_gamma_par(self, ex1):
+        # 50 / gamma_p at gamma_par = 1e-4 needs 2^22 samples per record
+        params = dataclasses.replace(ex1, gamma_par=1e-4)
+        with pytest.raises(RecordTooLongError):
+            MonteCarloConfig.for_model(params, derive_populations(params))
+
+    def test_nyquist_guard_uses_widest_rate(self, ex1, ex1_pops):
+        # Nyquist 12 resolves 10 max(kappa, gamma_perp) = 10 but not the
+        # loop resonance sqrt(kappa gamma_perp (1 + |N|/N_th)) ~ 1.46
+        config = MonteCarloConfig(duration=2048 * np.pi / 12.0, n_samples=2048, n_records=30)
+        assert np.pi / config.dt >= 10.0 * max(ex1.kappa, ex1.gamma_perp)
+        with pytest.raises(InvalidParamsError, match="Nyquist"):
+            check_config(ex1, ex1_pops, config)
 
     def test_rng_streams_are_independent(self, ex1, ex1_pops):
         config = MonteCarloConfig.for_model(ex1, ex1_pops, seed=3)
@@ -174,6 +196,48 @@ class TestFieldRecords:
         a = run_monte_carlo(ex1, ex1_pops, config)
         b = run_monte_carlo(ex1, ex1_pops, config)
         assert a == b
+
+    def test_ensemble_matches_one_record_path(self, ex1, ex1_pops):
+        # 33 records of 4096 samples: blocks of 8 rows and a 1-row last block
+        config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=33, seed=21)
+        records = (simulate_field_record(ex1, ex1_pops, config, record_rng(config, i))
+                   for i in range(config.n_records))
+        assert run_monte_carlo(ex1, ex1_pops, config) == estimate_moments(records)
+
+    # Frozen outputs of the per-record loop that block synthesis replaced;
+    # seeded ensembles must reproduce them bit for bit.
+    def test_golden_ex1_partial_block(self, ex1, ex1_pops):
+        config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=37, seed=9)
+        assert config.n_samples == 4096
+        assert run_monte_carlo(ex1, ex1_pops, config) == MomentEstimate(
+            n=0.053595462667502876, g2=2.1591545878105176, n_se=0.0005866513469295254,
+            g2_se=0.03718569905312106, n_records=37)
+
+    def test_golden_long_records(self, ex1):
+        params = dataclasses.replace(ex1, gamma_par=0.01)
+        pops = derive_populations(params)
+        config = MonteCarloConfig.for_model(params, pops, n_records=30, seed=3)
+        assert config.n_samples == 32768
+        assert run_monte_carlo(params, pops, config) == MomentEstimate(
+            n=0.0536406637766617, g2=2.181550600349273, n_se=0.00035363554060655267,
+            g2_se=0.012936052597655713, n_records=30)
+
+    def test_ensemble_peak_memory_within_one_block(self, ex1, ex1_pops):
+        config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=64, seed=1)
+        assert config.n_samples == 4096
+        long = dataclasses.replace(config, duration=config.duration * 8, n_samples=2 ** 15)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ensemble = peak(lambda: run_monte_carlo(ex1, ex1_pops, config))
+        record = peak(lambda: simulate_field_record(ex1, ex1_pops, long, record_rng(long, 0)))
+        assert ensemble <= record
 
     def test_config_check_rejects_short_records(self, ex1, ex1_pops):
         bad = MonteCarloConfig(duration=64.0, n_samples=512, n_records=40)

@@ -68,6 +68,15 @@ class TestRunSweep:
         assert flagged and clean
         assert all(r.n_closed is None for r in flagged)
 
+    def test_overlong_monte_carlo_record_flags_row(self, base):
+        # gamma_par = 1e-4 needs 2^22-sample records: flagged, not simulated
+        spec = SweepSpec(base=base, variable="gamma_par", start=1e-4, stop=0.1, steps=2,
+                         scale="log", methods=("closed", "montecarlo"), records=30)
+        long_row, ex1_row = run_sweep(spec)
+        assert "RecordTooLong" in long_row.flags
+        assert long_row.g2_closed is not None and long_row.g2_mc is None
+        assert "RecordTooLong" not in ex1_row.flags and ex1_row.g2_mc is not None
+
     def test_quadrature_column(self, base):
         spec = SweepSpec(base=base, variable="pump", start=0.05, stop=0.5, steps=3,
                          methods=("closed", "quadrature"))
