@@ -14,7 +14,6 @@ from .errors import (
     NonConvergenceError,
     RecordTooLongError,
     StepTooLargeError,
-    TailTruncationWarning,
     TooFewRecordsError,
 )
 from .g2 import (
@@ -32,11 +31,8 @@ from .model import (
     SpectralDensity,
     commutator_spectrum,
     derive_populations,
-    energy_balance_residual,
     loop_denominator,
     population_spectrum,
-    sample_commutator_spectrum,
-    sample_population_spectrum,
     validity_ratio,
 )
 from .montecarlo import (
@@ -54,7 +50,7 @@ from .photon import (
     mean_photon_quadrature,
     photon_number_spectrum,
 )
-from .quadrature import IntegrationSpec, integrate_1d, integrate_2d, spectral_convolution
+from .quadrature import IntegrationSpec, integrate_1d
 from .sweep import SweepRow, SweepSpec, reproduce_figure, run_sweep
 from .validation import run_validation
 
@@ -79,18 +75,15 @@ __all__ = [
     "StepTooLargeError",
     "SweepRow",
     "SweepSpec",
-    "TailTruncationWarning",
     "TooFewRecordsError",
     "commutator_spectrum",
     "cumulant_kernel",
     "derive_populations",
-    "energy_balance_residual",
     "estimate_moments",
     "g2_bruteforce",
     "g2_closed",
     "g2_from_delta_n",
     "integrate_1d",
-    "integrate_2d",
     "loop_denominator",
     "mean_photon_closed",
     "mean_photon_quadrature",
@@ -102,10 +95,7 @@ __all__ = [
     "run_monte_carlo",
     "run_sweep",
     "run_validation",
-    "sample_commutator_spectrum",
-    "sample_population_spectrum",
     "simulate_field_record",
-    "spectral_convolution",
     "synthesize_colored_noise",
     "validity_ratio",
 ]

@@ -15,6 +15,7 @@ from pathlib import Path
 from .errors import ModelError
 from .g2 import g2_bruteforce, g2_closed
 from .model import (
+    GRID_SAFETY,
     FrequencyGrid,
     ModelParams,
     commutator_spectrum,
@@ -82,10 +83,10 @@ def _resolve_params(args) -> ModelParams:
 def _cmd_spectrum(args) -> int:
     params = _resolve_params(args)
     pops = derive_populations(params)
-    if args.grid_omega_max is not None and args.grid_points is not None:
+    if args.grid_omega_max is not None:
         grid = FrequencyGrid(omega_max=args.grid_omega_max, n_points=args.grid_points)
     else:
-        grid = FrequencyGrid.for_model(params, pops, n_points=args.grid_points or 8193)
+        grid = FrequencyGrid.for_model(params, pops, n_points=args.grid_points)
     w = grid.omegas()
     lines = ["# omega in units of gamma_perp",
              "omega,commutator,population,photon"]
@@ -194,8 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="emit photon, commutator and population spectra")
     _add_param_flags(p)
-    p.add_argument("--grid-omega-max", type=float)
-    p.add_argument("--grid-points", type=int)
+    p.add_argument("--grid-omega-max", type=float,
+                   help=f"grid half-width (default {GRID_SAFETY:g}x the widest spectral rate)")
+    p.add_argument("--grid-points", type=int, default=8193)
     p.add_argument("--out", type=Path)
     p.set_defaults(func=_cmd_spectrum)
 

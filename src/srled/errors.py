@@ -36,6 +36,3 @@ class RecordTooLongError(ModelError, ValueError):
 class TooFewRecordsError(ModelError, ValueError):
     """Moment estimation needs a minimum ensemble size."""
 
-
-class TailTruncationWarning(UserWarning):
-    """A spectral density does not decay enough at the grid edge."""

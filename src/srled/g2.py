@@ -70,8 +70,7 @@ def g2_closed(params: ModelParams, pops: Populations) -> G2Result:
 
 
 def cumulant_kernel(params: ModelParams, pops: Populations,
-                    omega_a: float, omega_b: float, mode: str = "delta",
-                    spec: IntegrationSpec = IntegrationSpec()) -> complex:
+                    omega_a: float, omega_b: float, mode: str = "delta") -> complex:
     """K(omega_a, omega_b), the kernel inside the cumulant integral.
 
     full: (2 pi)^-1 Int pop_spectrum(w) / [s(w + omega_b) s*(w + omega_a)] dw
@@ -101,10 +100,7 @@ def cumulant_kernel(params: ModelParams, pops: Populations,
 
     # omega = gamma tan(theta) absorbs the Cauchy mass exactly:
     # K = (delta2_ne / pi) Int_{-pi/2}^{pi/2} integrand d theta
-    finite = IntegrationSpec(rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
-                             max_subdivisions=spec.max_subdivisions,
-                             half_width=0.5 * np.pi)
-    val, _ = integrate_1d(integrand, finite)
+    val, _ = integrate_1d(integrand, IntegrationSpec(half_width=0.5 * np.pi))
     return pops.delta2_ne / np.pi * val
 
 
@@ -118,13 +114,13 @@ def _kernel_matrix_full(params, pops, omega, ring_per_unit):
     return pops.delta2_ne * smoothed_inverse_filter(params, pops, omega, ring_per_unit)
 
 
-def noise_cumulant(params: ModelParams, pops: Populations, mode: str = "delta",
-                   n_outer: int = CUMULANT_NODES[0],
-                   ring_per_unit: int = CUMULANT_NODES[1]) -> tuple[float, float]:
+def noise_cumulant(params: ModelParams, pops: Populations,
+                   mode: str = "delta") -> tuple[float, float]:
     """The fourth-order field-noise cumulant by 2-D tensor quadrature.
 
-    Returns (value, refinement_error). Nonnegative by construction
-    (the integrand is c c |K|^2 >= 0); zero when fluctuations are disabled.
+    Returns (value, refinement_error): CUMULANT_NODES against half the
+    outer and half the ring nodes. Nonnegative by construction (the
+    integrand is c c |K|^2 >= 0); zero when fluctuations are disabled.
     """
     _check_below_threshold(params, pops)
     if mode not in ("delta", "full"):
@@ -140,13 +136,13 @@ def noise_cumulant(params: ModelParams, pops: Populations, mode: str = "delta",
             kmat = _kernel_matrix_full(params, pops, omega, per_unit)
         return 4.0 / (2.0 * np.pi) ** 2 * float(wc @ (np.abs(kmat) ** 2) @ wc)
 
-    coarse = evaluate(n_outer // 2, max(ring_per_unit // 2, 6))
-    fine = evaluate(n_outer, ring_per_unit)
+    n_outer, per_unit = CUMULANT_NODES
+    coarse = evaluate(n_outer // 2, per_unit // 2)
+    fine = evaluate(n_outer, per_unit)
     return fine, abs(fine - coarse)
 
 
-def mean_term_cancellation(params: ModelParams, pops: Populations,
-                           spec: IntegrationSpec = IntegrationSpec()) -> tuple[float, float]:
+def mean_term_cancellation(params: ModelParams, pops: Populations) -> tuple[float, float]:
     """Diagnostic for the cancellation between the cumulant's disconnected
     part and the squared-mean subtraction.
 
@@ -171,7 +167,6 @@ def mean_term_cancellation(params: ModelParams, pops: Populations,
         # absolute tolerance tied to the spectrum's peak so the far tails
         # (tiny values, roundoff-limited) cannot trip the convergence check
         finite = IntegrationSpec(rel_tol=1e-10, abs_tol=1e-10 * c_peak,
-                                 max_subdivisions=spec.max_subdivisions,
                                  half_width=0.5 * np.pi)
         val, _ = integrate_1d(
             lambda th: commutator_spectrum(params, pops, w - gamma * np.tan(th)), finite)
@@ -179,16 +174,14 @@ def mean_term_cancellation(params: ModelParams, pops: Populations,
 
     side_a, _ = integrate_1d(
         lambda w: smoothed_c(w) / loop_abs2(params, pops, w),
-        IntegrationSpec(rel_tol=1e-8, abs_tol=1e-12,
-                        max_subdivisions=spec.max_subdivisions))
+        IntegrationSpec(rel_tol=1e-8, abs_tol=1e-12))
     side_a *= pops.delta2_ne / (2.0 * np.pi)
-    mp = mean_photon_quadrature(params, pops, mode="exact", spec=spec)
+    mp = mean_photon_quadrature(params, pops, mode="exact")
     side_b = (mp.n_total - mp.n0) / fluctuation_coupling(params) ** 2
     return side_a, side_b
 
 
-def cumulant_delta_product_form(params: ModelParams, pops: Populations,
-                                spec: IntegrationSpec = IntegrationSpec()) -> float:
+def cumulant_delta_product_form(params: ModelParams, pops: Populations) -> float:
     """[2 delta2_ne (2 pi)^-1 Int c/|s|^2 d omega]^2, the delta-mode value.
 
     Independent reference for the 2-D tensor quadrature in noise_cumulant;
@@ -196,14 +189,12 @@ def cumulant_delta_product_form(params: ModelParams, pops: Populations,
     linear in it.
     """
     val, _ = integrate_1d(
-        lambda w: commutator_spectrum(params, pops, w) / loop_abs2(params, pops, w), spec
+        lambda w: commutator_spectrum(params, pops, w) / loop_abs2(params, pops, w)
     )
     return (2.0 * pops.delta2_ne * val / (2.0 * np.pi)) ** 2
 
 
-def g2_bruteforce(params: ModelParams, pops: Populations, mode: str = "delta",
-                  n_outer: int = CUMULANT_NODES[0], ring_per_unit: int = CUMULANT_NODES[1],
-                  spec: IntegrationSpec = IntegrationSpec()) -> G2Result:
+def g2_bruteforce(params: ModelParams, pops: Populations, mode: str = "delta") -> G2Result:
     """g2 = 2 + (kappa gamma_perp/N_th)^4 C / n^2 with everything numerical.
 
     n comes from the matching mean-photon quadrature mode (delta <-> delta,
@@ -213,9 +204,9 @@ def g2_bruteforce(params: ModelParams, pops: Populations, mode: str = "delta",
     if pops.delta2_ne == 0.0:
         return G2Result(g2=2.0, cumulant=0.0,
                         method=METHOD_DELTA if mode == "delta" else METHOD_FULL)
-    cum, cum_err = noise_cumulant(params, pops, mode, n_outer, ring_per_unit)
+    cum, cum_err = noise_cumulant(params, pops, mode)
     photon_mode = "delta" if mode == "delta" else "exact"
-    mp = mean_photon_quadrature(params, pops, mode=photon_mode, spec=spec)
+    mp = mean_photon_quadrature(params, pops, mode=photon_mode)
     coup4 = fluctuation_coupling(params) ** 4
     n2 = mp.n_total ** 2
     g2 = 2.0 + coup4 * cum / n2

@@ -186,21 +186,13 @@ def validity_ratio(params: ModelParams) -> float:
     return params.gamma_par / math.sqrt(params.kappa * params.gamma_perp)
 
 
-def energy_balance_residual(params: ModelParams, pops: Populations, n_photons: float) -> float:
-    """Diagnostic residual 2 kappa n - gamma_par [P (N_0 - N_e) - N_e].
-
-    With the closed-form populations the bracket vanishes identically, so the
-    residual equals the cavity emission 2 kappa n that the linear-regime
-    population balance neglects. Exposed for inspection only, never solved.
-    """
-    p = params.pump
-    bracket = p * (params.n_emitters - pops.n_excited) - pops.n_excited
-    return 2.0 * params.kappa * n_photons - params.gamma_par * bracket
-
-
 # ---------------------------------------------------------------------------
-# Sampling grids and sampled spectra
+# Sampling grids
 # ---------------------------------------------------------------------------
+
+# half-width of FrequencyGrid.for_model, in units of the widest spectral rate
+GRID_SAFETY = 50.0
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -240,19 +232,15 @@ class FrequencyGrid:
 
     @classmethod
     def for_model(cls, params: ModelParams, pops: Populations,
-                  n_points: int = 8193, safety: float = 50.0) -> "FrequencyGrid":
-        """Half-width covering every spectral scale.
+                  n_points: int = 8193) -> "FrequencyGrid":
+        """Half-width GRID_SAFETY times widest_rate.
 
-        omega_max = safety * max(kappa, gamma_perp, sqrt(kappa gamma_perp
-        (1 + |N|/N_th))). The 20x floor bounds the truncated tail mass of
-        the |s|^-2 integrand near 1e-5; the 50x default brings it (and the
-        faster-decaying |s|^-4 tails) below 1e-6, verified by the
-        doubling-omega_max convergence test.
+        At 20x the truncated tail mass of the |s|^-2 integrand is near 1e-5;
+        the 50x of GRID_SAFETY brings it (and the faster-decaying |s|^-4
+        tails) below 1e-6, verified by the doubling-omega_max convergence
+        test.
         """
-        if safety < 20.0:
-            raise InvalidParamsError("safety factor below the 20x tail rule")
-        scale = widest_rate(params, pops)
-        return cls(omega_max=safety * scale, n_points=n_points)
+        return cls(omega_max=GRID_SAFETY * widest_rate(params, pops), n_points=n_points)
 
 
 def widest_rate(params: ModelParams, pops: Populations) -> float:
@@ -283,24 +271,3 @@ class SpectralDensity:
             raise InvalidParamsError(f"spectral density {self.label!r} has non-finite samples")
         if np.any(vals < 0.0):
             raise InvalidParamsError(f"spectral density {self.label!r} has negative samples")
-
-    def mass(self) -> float:
-        """Plain integral of the samples (no 2 pi factor)."""
-        if self.grid.layout == "symmetric":
-            return float(np.trapezoid(self.values, dx=self.grid.spacing))
-        return float(np.sum(self.values) * self.grid.spacing)
-
-    def is_even(self, rtol: float = 1e-12) -> bool:
-        if self.grid.layout != "symmetric":
-            return False
-        peak = float(np.max(self.values)) or 1.0
-        return bool(np.all(np.abs(self.values - self.values[::-1]) <= rtol * peak))
-
-
-def sample_commutator_spectrum(params: ModelParams, pops: Populations,
-                               grid: FrequencyGrid) -> SpectralDensity:
-    return SpectralDensity(grid, commutator_spectrum(params, pops, grid.omegas()), label="c")
-
-
-def sample_population_spectrum(pops: Populations, grid: FrequencyGrid) -> SpectralDensity:
-    return SpectralDensity(grid, population_spectrum(pops, grid.omegas()), label="delta2_ne")

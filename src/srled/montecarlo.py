@@ -61,6 +61,11 @@ from .model import (
 )
 
 _MIN_RECORDS = 30
+# record resolution: T >= MIN_CYCLES / gamma_p, Nyquist >= NYQUIST_FACTOR
+# widest_rate, and gamma_p dt <= MAX_DECAY_STEP
+MIN_CYCLES = 50.0
+NYQUIST_FACTOR = 10.0
+MAX_DECAY_STEP = 0.1
 # longest record: 2^20 complex samples is ~16 MiB per working array
 MAX_RECORD_SAMPLES = 1 << 20
 # samples per synthesis block; a block holds max(1, BLOCK_SAMPLES // n) records
@@ -112,20 +117,21 @@ class MonteCarloConfig:
 
     @classmethod
     def for_model(cls, params: ModelParams, pops: Populations,
-                  n_records: int = 500, seed: int = 0,
-                  min_cycles: float = 50.0,
-                  nyquist_factor: float = 10.0) -> "MonteCarloConfig":
+                  n_records: int = 500, seed: int = 0) -> "MonteCarloConfig":
         """Pick dt and T from the model scales.
 
-        Nyquist >= nyquist_factor * (widest spectral rate) and
-        T >= min_cycles / gamma_p so the record resolves both the broad
-        field spectrum and the narrow population spectrum. Raises
-        RecordTooLongError when that takes more than MAX_RECORD_SAMPLES.
+        Nyquist >= NYQUIST_FACTOR * widest_rate and T >= MIN_CYCLES / gamma_p,
+        so the record resolves both the broad field spectrum and the narrow
+        population spectrum, and gamma_p dt <= MAX_DECAY_STEP for the AR(1)
+        population path. Raises RecordTooLongError when that takes more
+        than MAX_RECORD_SAMPLES.
         """
         if pops.gamma_p <= 0.0:
             raise InvalidParamsError("gamma_p must be positive")
-        dt = np.pi / (nyquist_factor * widest_rate(params, pops))
-        n = 1 << max(1, math.ceil(math.log2(min_cycles / pops.gamma_p / dt)))
+        # a hair under the decay cap, so gamma_p dt cannot round above it
+        dt = min(np.pi / (NYQUIST_FACTOR * widest_rate(params, pops)),
+                 MAX_DECAY_STEP * (1.0 - 1e-12) / pops.gamma_p)
+        n = 1 << max(1, math.ceil(math.log2(MIN_CYCLES / pops.gamma_p / dt)))
         return cls(duration=n * dt, n_samples=n, n_records=n_records, seed=seed)
 
 
@@ -137,15 +143,15 @@ def record_rng(config: MonteCarloConfig, record_index: int) -> np.random.Generat
 
 def check_config(params: ModelParams, pops: Populations, config: MonteCarloConfig) -> None:
     """Enforce the resolution invariants before simulating."""
-    if pops.gamma_p > 0.0 and config.duration < 50.0 / pops.gamma_p * (1.0 - 1e-9):
+    if pops.gamma_p > 0.0 and config.duration < MIN_CYCLES / pops.gamma_p * (1.0 - 1e-9):
         raise InvalidParamsError(
             f"duration {config.duration:.3g} cannot resolve gamma_p={pops.gamma_p:.3g}; "
-            f"need at least {50.0 / pops.gamma_p:.3g}"
+            f"need at least {MIN_CYCLES / pops.gamma_p:.3g}"
         )
     nyquist = np.pi / config.dt
-    if nyquist < 10.0 * widest_rate(params, pops) * (1.0 - 1e-9):
+    if nyquist < NYQUIST_FACTOR * widest_rate(params, pops) * (1.0 - 1e-9):
         raise InvalidParamsError(
-            f"Nyquist {nyquist:.3g} below 10x the widest spectral rate"
+            f"Nyquist {nyquist:.3g} below {NYQUIST_FACTOR:g}x the widest spectral rate"
         )
 
 
@@ -182,9 +188,10 @@ def _ou_constants(pops: Populations, config: MonteCarloConfig):
     """(rho, sigma, stationary sd) of the AR(1) path; None without dispersion."""
     if pops.delta2_ne == 0.0:
         return None
-    if pops.gamma_p * config.dt > 0.1:
+    if pops.gamma_p * config.dt > MAX_DECAY_STEP:
         raise StepTooLargeError(
-            f"gamma_p dt = {pops.gamma_p * config.dt:.3g} > 0.1; refine the sampling"
+            f"gamma_p dt = {pops.gamma_p * config.dt:.3g} > {MAX_DECAY_STEP:g}; "
+            "refine the sampling"
         )
     rho = math.exp(-pops.gamma_p * config.dt)
     return rho, math.sqrt(pops.delta2_ne * (1.0 - rho * rho)), math.sqrt(pops.delta2_ne)

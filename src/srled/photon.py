@@ -34,7 +34,6 @@ from .model import (
 )
 from .quadrature import (
     EXACT_N_NODES,
-    IntegrationSpec,
     commutator_rule,
     integrate_1d,
     smoothed_inverse_filter,
@@ -73,6 +72,11 @@ def dispersion_ratio(params: ModelParams, pops: Populations) -> float:
     return 1.0 / (params.pump + 1.0)
 
 
+def _zero_order_level(params: ModelParams, pops: Populations) -> float:
+    """(kappa gamma_perp^2 / 2 N_th) N_e, the zero-order numerator of n(omega)."""
+    return 0.5 * params.kappa * params.gamma_perp ** 2 * pops.n_excited / params.n_threshold
+
+
 def photon_number_spectrum(params: ModelParams, pops: Populations, omega):
     """n(omega) in the delta approximation; nonnegative and even.
 
@@ -81,8 +85,7 @@ def photon_number_spectrum(params: ModelParams, pops: Populations, omega):
     """
     _check_below_threshold(params, pops)
     s2 = loop_abs2(params, pops, omega)
-    zero_order = 0.5 * params.kappa * params.gamma_perp ** 2 * pops.n_excited / params.n_threshold
-    out = zero_order / s2
+    out = _zero_order_level(params, pops) / s2
     if pops.delta2_ne > 0.0:
         coup = fluctuation_coupling(params)
         out = out + pops.delta2_ne * coup ** 2 * commutator_spectrum(params, pops, omega) / s2
@@ -101,19 +104,19 @@ def mean_photon_closed(params: ModelParams, pops: Populations) -> MeanPhotonResu
                             method=METHOD_CLOSED)
 
 
-def _zero_order_quadrature(params, pops, spec):
-    zero_order = 0.5 * params.kappa * params.gamma_perp ** 2 * pops.n_excited / params.n_threshold
-    val, err = integrate_1d(lambda w: zero_order / loop_abs2(params, pops, w), spec)
+def _zero_order_quadrature(params, pops):
+    zero_order = _zero_order_level(params, pops)
+    val, err = integrate_1d(lambda w: zero_order / loop_abs2(params, pops, w))
     return val / (2.0 * np.pi), err / (2.0 * np.pi)
 
 
-def _fluctuation_delta_quadrature(params, pops, spec):
+def _fluctuation_delta_quadrature(params, pops):
     coup2 = fluctuation_coupling(params) ** 2
 
     def integrand(w):
         return commutator_spectrum(params, pops, w) / loop_abs2(params, pops, w)
 
-    val, err = integrate_1d(integrand, spec)
+    val, err = integrate_1d(integrand)
     scale = pops.delta2_ne * coup2 / (2.0 * np.pi)
     return scale * val, scale * err
 
@@ -139,26 +142,25 @@ def _fluctuation_exact(params, pops):
 
 
 def mean_photon_quadrature(params: ModelParams, pops: Populations,
-                           mode: str = "delta",
-                           spec: IntegrationSpec = IntegrationSpec()) -> MeanPhotonResult:
+                           mode: str = "delta") -> MeanPhotonResult:
     """Mean photon number by numerical integration of the spectrum.
 
     mode="delta" integrates the delta-approximation spectrum adaptively and
     must match mean_photon_closed to 1e-5 relative; mode="exact" replaces
     c(omega) delta2_ne by the full convolution with the Lorentzian
     population spectrum and reports the (physical) discrepancy. In both
-    modes n0 is an adaptive integral under spec. The exact fluctuation term
-    is a fixed tensor rule (see _fluctuation_exact) that spec does not
-    govern; its error is a node-halving refinement estimate.
+    modes n0 is an adaptive integral at the default IntegrationSpec. The
+    exact fluctuation term is a fixed tensor rule (see _fluctuation_exact);
+    its error is a node-halving refinement estimate.
     """
     _check_below_threshold(params, pops)
     if mode not in ("delta", "exact"):
         raise InvalidParamsError(f"unknown mean-photon mode {mode!r}")
-    n0, n0_err = _zero_order_quadrature(params, pops, spec)
+    n0, n0_err = _zero_order_quadrature(params, pops)
     if pops.delta2_ne == 0.0:
         fluct, fluct_err = 0.0, 0.0
     elif mode == "delta":
-        fluct, fluct_err = _fluctuation_delta_quadrature(params, pops, spec)
+        fluct, fluct_err = _fluctuation_delta_quadrature(params, pops)
     else:
         fluct, fluct_err = _fluctuation_exact(params, pops)
     total = n0 + fluct

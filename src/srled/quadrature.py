@@ -1,7 +1,7 @@
-"""Adaptive integration and spectral convolution.
+"""Adaptive integration and the fixed rules of the population-smoothed paths.
 
-Adaptive 1-D and 2-D integrals are backed by QUADPACK (scipy.integrate)
-behind an IntegrationSpec contract that turns unreported convergence into a
+Adaptive 1-D integrals are backed by QUADPACK (scipy.integrate) behind an
+IntegrationSpec contract that turns unreported convergence into a
 NonConvergenceError. The hot, fixed-order rules used by the cumulant code
 live here too:
 
@@ -27,11 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 from scipy.linalg import blas
-from scipy.signal import fftconvolve
 
-from .errors import GridMismatchError, NonConvergenceError, TailTruncationWarning
+from .errors import NonConvergenceError
 from .model import (
-    SpectralDensity,
     commutator_spectrum,
     loop_abs2,
     loop_denominator,
@@ -102,27 +100,6 @@ def integrate_1d(func, spec: IntegrationSpec = IntegrationSpec()):
     return _quad_real(func, spec)
 
 
-def integrate_2d(func, spec: IntegrationSpec = IntegrationSpec()):
-    """Iterated adaptive integral of func(omega1, omega2) over the plane.
-
-    The inner integral runs at a tighter tolerance than the outer one so the
-    reported outer error estimate stays meaningful.
-    """
-    lo, hi = _limits(spec)
-    inner_spec = IntegrationSpec(
-        rel_tol=max(spec.rel_tol * 1e-2, 1e-13),
-        abs_tol=max(spec.abs_tol * 1e-2, 1e-15),
-        max_subdivisions=spec.max_subdivisions,
-        half_width=spec.half_width,
-    )
-
-    def outer(w2):
-        val, _ = _quad_real(lambda w1: func(w1, w2), inner_spec)
-        return val
-
-    return _quad_real(outer, spec)
-
-
 # ---------------------------------------------------------------------------
 # Fixed rules for the hot paths
 # ---------------------------------------------------------------------------
@@ -167,7 +144,7 @@ def log_ring_rule(gamma: float, scale: float, per_unit: int = 24,
 
 # Node counts (outer tan-map nodes, ring nodes per unit of log omega) of the
 # tensor rules, each refined against half as many outer and ring nodes: the
-# fourth-order cumulant (the defaults of g2.noise_cumulant) and the exact
+# fourth-order cumulant (g2.noise_cumulant and g2_bruteforce) and the exact
 # mean photon number, whose diagonal sum needs the finer ring: with 24 ring
 # nodes per unit it is off by 1.6e-8 relative at EX1, with 48 by 1.4e-9.
 CUMULANT_NODES = (200, 24)
@@ -218,37 +195,3 @@ def smoothed_inverse_filter(params, pops, omega: np.ndarray, per_unit: int,
         return out
     return np.triu(out) + np.conj(np.triu(out, 1)).T
 
-
-# ---------------------------------------------------------------------------
-# Discrete spectral convolution
-# ---------------------------------------------------------------------------
-
-_EDGE_DECAY = 1e-6
-
-
-def spectral_convolution(f: SpectralDensity, g: SpectralDensity) -> SpectralDensity:
-    """(f * g)(omega) = (2 pi)^-1 Int f(omega - w) g(w) dw on the grid.
-
-    Zero-padded fast convolution; total mass satisfies
-    mass(f*g) = mass(f) mass(g) / (2 pi) up to edge truncation. Emits
-    TailTruncationWarning when either density has not decayed to 1e-6 of its
-    peak at the grid edge.
-    """
-    if f.grid != g.grid:
-        raise GridMismatchError("spectral densities live on different grids")
-    if f.grid.layout != "symmetric":
-        raise GridMismatchError("convolution needs a symmetric grid")
-    for dens in (f, g):
-        peak = float(np.max(dens.values))
-        if peak > 0.0:
-            edge = max(dens.values[0], dens.values[-1])
-            if edge > _EDGE_DECAY * peak:
-                warnings.warn(
-                    f"spectrum {dens.label!r} retains {edge / peak:.2e} of its peak "
-                    "at the grid edge; convolution tails will be truncated",
-                    TailTruncationWarning,
-                    stacklevel=2,
-                )
-    vals = fftconvolve(f.values, g.values, mode="same") * (f.grid.spacing / (2.0 * np.pi))
-    vals = np.maximum(vals, 0.0)  # clip the tiny negative ringing of the FFT
-    return SpectralDensity(f.grid, vals, label=f"conv({f.label},{g.label})")

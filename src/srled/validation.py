@@ -20,7 +20,7 @@ import numpy as np
 from .g2 import g2_bruteforce, g2_closed, g2_from_delta_n
 from .model import ModelParams, commutator_spectrum, derive_populations, validity_ratio
 from .montecarlo import MonteCarloConfig, run_monte_carlo
-from .photon import mean_photon_closed, mean_photon_quadrature
+from .photon import dispersion_ratio, mean_photon_closed, mean_photon_quadrature
 from .quadrature import IntegrationSpec, integrate_1d
 from .sweep import SweepSpec, run_sweep
 
@@ -48,8 +48,8 @@ def _variant_delta_n(params: ModelParams, pops) -> float:
     """
     r = params.kappa_ratio
     u = 1.0 - pops.inversion / params.n_threshold
-    ratio = pops.delta2_ne / pops.n_excited if pops.n_excited > 0.0 else 1.0 / (params.pump + 1.0)
-    return ratio / params.n_threshold * (3.0 * (r / (1.0 + r)) ** 2 + r / u)
+    bracket = 3.0 * (r / (1.0 + r)) ** 2 + r / u
+    return dispersion_ratio(params, pops) / params.n_threshold * bracket
 
 
 @dataclass

@@ -35,6 +35,15 @@ def test_spectrum_csv(tmp_path, capsys):
     np.testing.assert_allclose(rows[:, 3], rows[::-1, 3], rtol=1e-12)
 
 
+def test_spectrum_grid_flags_apply_alone(tmp_path):
+    # each grid flag takes effect without the other, which keeps its default
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--grid-omega-max", "3", "--out", str(out)]) == 0
+    omega = [float(line.split(",")[0]) for line in out.read_text().splitlines()[2:]]
+    assert len(omega) == 8193
+    assert omega[0] == -3.0 and omega[-1] == 3.0
+
+
 def test_sweep_and_config_precedence(tmp_path):
     cfg = tmp_path / "model.cfg"
     cfg.write_text("pump = 0.4\nn-emitters = 10\nn-th = 10\nkappa-ratio = 2\n")

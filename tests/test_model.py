@@ -14,7 +14,6 @@ from srled import (
     SpectralDensity,
     commutator_spectrum,
     derive_populations,
-    energy_balance_residual,
     integrate_1d,
     loop_denominator,
     population_spectrum,
@@ -184,14 +183,6 @@ class TestValidityRatio:
         assert validity_ratio(p) < 1e-11
 
 
-class TestEnergyBalance:
-    def test_residual_is_cavity_emission(self, ex1, ex1_pops):
-        # the pump/decay bracket vanishes for the closed-form populations
-        n = 0.05
-        assert energy_balance_residual(ex1, ex1_pops, n) == pytest.approx(
-            2.0 * ex1.kappa * n, rel=1e-12)
-
-
 class TestGrids:
     def test_for_model_covers_scales(self, ex1, ex1_pops):
         grid = FrequencyGrid.for_model(ex1, ex1_pops, n_points=101)
@@ -211,6 +202,3 @@ class TestGrids:
         grid = FrequencyGrid(omega_max=10.0, n_points=11)
         with pytest.raises(InvalidParamsError):
             SpectralDensity(grid, -np.ones(11))
-        dens = SpectralDensity(grid, np.ones(11), label="flat")
-        assert dens.mass() == pytest.approx(20.0, rel=1e-12)
-        assert dens.is_even()

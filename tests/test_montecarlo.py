@@ -26,7 +26,7 @@ from srled import (
 )
 from srled.errors import GridMismatchError
 from srled.model import commutator_spectrum
-from srled.montecarlo import MAX_RECORD_SAMPLES, check_config, record_rng
+from srled.montecarlo import MAX_DECAY_STEP, MAX_RECORD_SAMPLES, check_config, record_rng
 
 from conftest import EX1_ORACLE
 
@@ -66,6 +66,18 @@ class TestConfig:
         with pytest.raises(InvalidParamsError, match="Nyquist"):
             check_config(ex1, ex1_pops, config)
 
+    @pytest.mark.parametrize("gamma_par", [1e-3, 0.01, 0.1, 0.45, 1.0, 3.0])
+    def test_for_model_config_runs(self, ex1, gamma_par):
+        # dt is capped at MAX_DECAY_STEP / gamma_p, so the AR(1) step check
+        # accepts what for_model picks even where gamma_p is large
+        params = dataclasses.replace(ex1, gamma_par=gamma_par)
+        pops = derive_populations(params)
+        config = MonteCarloConfig.for_model(params, pops, n_records=30, seed=2)
+        check_config(params, pops, config)
+        assert pops.gamma_p * config.dt <= MAX_DECAY_STEP
+        est = run_monte_carlo(params, pops, config)
+        assert est.n_records == 30 and np.isfinite(est.n) and np.isfinite(est.g2)
+
     def test_rng_streams_are_independent(self, ex1, ex1_pops):
         config = MonteCarloConfig.for_model(ex1, ex1_pops, seed=3)
         a = record_rng(config, 0).standard_normal(8)
@@ -91,8 +103,10 @@ class TestColoredNoise:
         assert np.all(series == 0.0)
 
     def test_commutator_variance_is_unity(self, ex1, ex1_pops):
-        # wide band so the omega^-2 tails of c are inside the record
-        config = MonteCarloConfig.for_model(ex1, ex1_pops, nyquist_factor=80.0)
+        # wide band so the omega^-2 tails of c are inside the record: the
+        # for_model record length at 8x the Nyquist frequency
+        base = MonteCarloConfig.for_model(ex1, ex1_pops)
+        config = MonteCarloConfig(duration=base.duration, n_samples=8 * base.n_samples)
         grid = config.frequency_grid()
         dens = SpectralDensity(grid, commutator_spectrum(ex1, ex1_pops, grid.omegas()), "c")
         nr = 100

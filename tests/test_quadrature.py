@@ -1,23 +1,14 @@
-"""Adaptive integration contracts and the discrete spectral convolution."""
+"""Adaptive integration contracts and the grid half-width rule."""
 
 import numpy as np
 import pytest
 
 from srled import (
-    FrequencyGrid,
-    GridMismatchError,
     IntegrationSpec,
     NonConvergenceError,
-    SpectralDensity,
-    TailTruncationWarning,
     commutator_spectrum,
-    derive_populations,
     integrate_1d,
-    integrate_2d,
-    population_spectrum,
-    spectral_convolution,
 )
-from srled.model import ModelParams, sample_commutator_spectrum, sample_population_spectrum
 
 
 class TestIntegrate1D:
@@ -66,105 +57,3 @@ class TestIntegrate1D:
         v1, _ = integrate_1d(integrand, IntegrationSpec(half_width=grid.omega_max))
         v2, _ = integrate_1d(integrand, IntegrationSpec(half_width=2.0 * grid.omega_max))
         assert abs(v2 - v1) / v2 < 1e-6
-
-
-class TestIntegrate2D:
-    def test_separable_lorentzians(self):
-        g1, g2 = 0.5, 1.5
-
-        def f(w1, w2):
-            return (2 * g1 / (w1 ** 2 + g1 ** 2)) * (2 * g2 / (w2 ** 2 + g2 ** 2))
-
-        val, _ = integrate_2d(f, IntegrationSpec(rel_tol=1e-9))
-        assert val / (2.0 * np.pi) ** 2 == pytest.approx(1.0, rel=1e-6)
-
-    def test_zero_integrand(self):
-        val, _ = integrate_2d(lambda w1, w2: 0.0, IntegrationSpec(half_width=5.0))
-        assert val == 0.0
-
-    def test_commutator_separability_ex1(self, ex1, ex1_pops):
-        from srled.model import loop_abs2
-
-        def f(w1, w2):
-            return (commutator_spectrum(ex1, ex1_pops, w1) / loop_abs2(ex1, ex1_pops, w1)
-                    * commutator_spectrum(ex1, ex1_pops, w2) / loop_abs2(ex1, ex1_pops, w2))
-
-        val2d, _ = integrate_2d(f, IntegrationSpec(rel_tol=1e-8))
-        val1d, _ = integrate_1d(
-            lambda w: commutator_spectrum(ex1, ex1_pops, w) / loop_abs2(ex1, ex1_pops, w))
-        assert val2d == pytest.approx(val1d ** 2, rel=1e-5)
-
-
-def _narrow_lorentzian_density(grid, gamma):
-    w = grid.omegas()
-    return SpectralDensity(grid, (gamma / np.pi) / (w * w + gamma * gamma), label="narrow")
-
-
-class TestSpectralConvolution:
-    def test_identity_limit(self):
-        grid = FrequencyGrid(omega_max=60.0, n_points=2 ** 17 + 1)
-        w = grid.omegas()
-        # unit mass, well resolved; the peak deviation of a Lorentzian
-        # identity kernel is ~ 0.8 * width (its tails are heavy), so 0.008
-        # sits comfortably under the 1% check
-        narrow = _narrow_lorentzian_density(grid, 0.008)
-        smooth = SpectralDensity(grid, np.exp(-0.5 * w * w), label="gauss")
-        conv = spectral_convolution(narrow, smooth)
-        target = smooth.values / (2.0 * np.pi)
-        core = np.abs(w) <= 1.0
-        rel = np.abs(conv.values[core] - target[core]) / target[core]
-        assert rel.max() < 1e-2
-        band = np.abs(w) <= 3.0
-        norm = np.abs(conv.values[band] - target[band]) / target.max()
-        assert norm.max() < 1e-2
-
-    def test_commutativity_machine_precision(self):
-        grid = FrequencyGrid(omega_max=40.0, n_points=4097)
-        w = grid.omegas()
-        f = SpectralDensity(grid, np.exp(-0.5 * (w - 0.0) ** 2))
-        g = SpectralDensity(grid, 1.0 / (1.0 + w * w) ** 2)
-        a = spectral_convolution(f, g)
-        b = spectral_convolution(g, f)
-        np.testing.assert_allclose(a.values, b.values, rtol=1e-9, atol=1e-15)
-
-    def test_mass_rule(self):
-        grid = FrequencyGrid(omega_max=50.0, n_points=2 ** 14 + 1)
-        w = grid.omegas()
-        f = SpectralDensity(grid, np.exp(-0.5 * w * w))
-        g = SpectralDensity(grid, np.exp(-0.125 * w * w))
-        conv = spectral_convolution(f, g)
-        assert conv.mass() == pytest.approx(f.mass() * g.mass() / (2.0 * np.pi), rel=1e-4)
-
-    def test_grid_mismatch(self):
-        g1 = FrequencyGrid(omega_max=10.0, n_points=101)
-        g2 = FrequencyGrid(omega_max=10.0, n_points=201)
-        with pytest.raises(GridMismatchError):
-            spectral_convolution(SpectralDensity(g1, np.ones(101)),
-                                 SpectralDensity(g2, np.ones(201)))
-
-    def test_tail_truncation_warning(self):
-        grid = FrequencyGrid(omega_max=5.0, n_points=513)
-        w = grid.omegas()
-        fat = SpectralDensity(grid, 1.0 / (1.0 + w * w), label="fat")
-        with pytest.warns(TailTruncationWarning):
-            spectral_convolution(fat, fat)
-
-    def test_delta_approximation_narrow_population(self):
-        # c * pop_spectrum tracks c(omega) * delta2_ne when the population
-        # spectrum is much narrower than c (validity ratio 0.007). The far
-        # tails carry a relative offset gamma_p/kappa (both spectra fall off
-        # like omega^-2) and the line-center deviation grows with the
-        # resonance contrast, so kappa = 1, N_0 = 10 keeps both inside 1%.
-        kappa = 1.0
-        gamma_par = 0.007 * np.sqrt(kappa)
-        params = ModelParams(kappa=kappa, gamma_par=gamma_par, pump=0.1,
-                             n_threshold=5.0, n_emitters=10.0)
-        pops = derive_populations(params)
-        grid = FrequencyGrid(omega_max=1950.0, n_points=2 ** 22 + 1)
-        c = sample_commutator_spectrum(params, pops, grid)
-        lor = sample_population_spectrum(pops, grid)
-        conv = spectral_convolution(c, lor)
-        target = c.values * pops.delta2_ne
-        band = np.abs(grid.omegas()) <= 0.8 * grid.omega_max
-        rel = np.abs(conv.values[band] - target[band]) / target[band]
-        assert rel.max() < 0.01
