@@ -8,7 +8,6 @@ Langevin noise.
 
 from .errors import (
     AboveThresholdError,
-    GridMismatchError,
     InvalidParamsError,
     ModelError,
     NonConvergenceError,
@@ -28,7 +27,6 @@ from .model import (
     FrequencyGrid,
     ModelParams,
     Populations,
-    SpectralDensity,
     commutator_spectrum,
     derive_populations,
     loop_denominator,
@@ -60,7 +58,6 @@ __all__ = [
     "AboveThresholdError",
     "FrequencyGrid",
     "G2Result",
-    "GridMismatchError",
     "IntegrationSpec",
     "InvalidParamsError",
     "MeanPhotonResult",
@@ -71,7 +68,6 @@ __all__ = [
     "NonConvergenceError",
     "Populations",
     "RecordTooLongError",
-    "SpectralDensity",
     "StepTooLargeError",
     "SweepRow",
     "SweepSpec",

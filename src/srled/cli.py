@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import ModelError
+from .errors import InvalidParamsError, ModelError
 from .g2 import g2_bruteforce, g2_closed
 from .model import (
     GRID_SAFETY,
@@ -42,7 +42,6 @@ _PARAM_DEFAULTS = {
     "n_th": 5.0,
     "gamma_par": 0.1,
     "n_emitters": 20.0,
-    "f": 0.5,
 }
 
 
@@ -53,7 +52,6 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--n-th", type=float, help="threshold inversion N_th")
     g.add_argument("--gamma-par", type=float, help="population decay rate")
     g.add_argument("--n-emitters", type=float, help="total emitter count N_0")
-    g.add_argument("--f", type=float, help="coupling structure factor")
     g.add_argument("--config", type=Path, help="key=value file with the same names")
 
 
@@ -65,7 +63,10 @@ def _resolve_params(args) -> ModelParams:
             norm = key.replace("-", "_")
             if norm not in values:
                 raise ModelError(f"unknown config key {key!r}")
-            values[norm] = float(val)
+            try:
+                values[norm] = float(val)
+            except ValueError:
+                raise InvalidParamsError(f"config key {key!r} needs a number, got {val!r}") from None
     for key in values:
         flag = getattr(args, key)
         if flag is not None:
@@ -76,7 +77,6 @@ def _resolve_params(args) -> ModelParams:
         n_threshold=values["n_th"],
         gamma_par=values["gamma_par"],
         n_emitters=values["n_emitters"],
-        f_factor=values["f"],
     )
 
 

@@ -21,10 +21,6 @@ class NonConvergenceError(ModelError, RuntimeError):
     """Adaptive quadrature exhausted its subdivision budget."""
 
 
-class GridMismatchError(ModelError, ValueError):
-    """Two spectral densities (or a density and a config) use different grids."""
-
-
 class StepTooLargeError(ModelError, ValueError):
     """Time step too coarse to resolve the population decay rate."""
 

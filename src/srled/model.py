@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AboveThresholdError, GridMismatchError, InvalidParamsError
+from .errors import AboveThresholdError, InvalidParamsError
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,6 @@ class ModelParams:
     n_threshold  threshold inversion N_th > 0
     n_emitters   total emitter count N_0 >= 1
     gamma_perp   polarisation decay rate, the unit (default 1)
-    f_factor     dimensionless coupling structure factor, about 1/2
     """
 
     kappa: float
@@ -44,28 +43,24 @@ class ModelParams:
     n_threshold: float
     n_emitters: float
     gamma_perp: float = 1.0
-    f_factor: float = 0.5
 
     def __post_init__(self):
-        for name in ("kappa", "gamma_par", "gamma_perp", "n_threshold", "f_factor"):
+        for name in ("kappa", "gamma_par", "gamma_perp", "n_threshold"):
             if not getattr(self, name) > 0.0 or not math.isfinite(getattr(self, name)):
                 raise InvalidParamsError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         if not self.pump >= 0.0 or not math.isfinite(self.pump):
             raise InvalidParamsError(f"pump must be >= 0, got {self.pump!r}")
-        if not self.n_emitters >= 1.0:
-            raise InvalidParamsError(f"n_emitters must be >= 1, got {self.n_emitters!r}")
-        if not math.isfinite(self.omega_rabi) or not self.omega_rabi > 0.0:
-            raise InvalidParamsError("derived Rabi coupling is not a positive finite number")
+        if not self.n_emitters >= 1.0 or not math.isfinite(self.n_emitters):
+            raise InvalidParamsError(f"n_emitters must be >= 1 and finite, got {self.n_emitters!r}")
+        # the coupling of the population noise into the field
+        coupling = self.kappa * self.gamma_perp / self.n_threshold
+        if not coupling > 0.0 or not math.isfinite(coupling):
+            raise InvalidParamsError("kappa gamma_perp / n_threshold is not a positive finite number")
 
     @property
     def kappa_ratio(self) -> float:
         """The adiabaticity parameter 2 kappa / gamma_perp."""
         return 2.0 * self.kappa / self.gamma_perp
-
-    @property
-    def omega_rabi(self) -> float:
-        """Vacuum Rabi frequency implied by the threshold inversion."""
-        return math.sqrt(self.kappa * self.gamma_perp / (2.0 * self.f_factor * self.n_threshold))
 
     @classmethod
     def from_ratio(cls, kappa_ratio: float, **kwargs) -> "ModelParams":
@@ -196,39 +191,23 @@ GRID_SAFETY = 50.0
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform omega grid.
-
-    layout="symmetric": odd point count, spans [-omega_max, omega_max].
-    layout="fft": even point count, spans [-omega_max, omega_max - spacing),
-    matching a power-of-two Monte Carlo record (fftshifted order).
-    """
+    """Uniform omega grid: odd point count, spans [-omega_max, omega_max]."""
 
     omega_max: float
     n_points: int
-    layout: str = "symmetric"
 
     def __post_init__(self):
-        if not self.omega_max > 0.0:
-            raise InvalidParamsError("omega_max must be positive")
-        if self.layout == "symmetric":
-            if self.n_points < 3 or self.n_points % 2 == 0:
-                raise InvalidParamsError("symmetric grids need an odd point count >= 3")
-        elif self.layout == "fft":
-            if self.n_points < 2 or self.n_points % 2 == 1:
-                raise InvalidParamsError("fft grids need an even point count >= 2")
-        else:
-            raise InvalidParamsError(f"unknown grid layout {self.layout!r}")
+        if not self.omega_max > 0.0 or not math.isfinite(self.omega_max):
+            raise InvalidParamsError(f"omega_max must be positive and finite, got {self.omega_max!r}")
+        if self.n_points < 3 or self.n_points % 2 == 0:
+            raise InvalidParamsError("symmetric grids need an odd point count >= 3")
 
     @property
     def spacing(self) -> float:
-        if self.layout == "symmetric":
-            return 2.0 * self.omega_max / (self.n_points - 1)
-        return 2.0 * self.omega_max / self.n_points
+        return 2.0 * self.omega_max / (self.n_points - 1)
 
     def omegas(self) -> np.ndarray:
-        if self.layout == "symmetric":
-            return np.linspace(-self.omega_max, self.omega_max, self.n_points)
-        return -self.omega_max + self.spacing * np.arange(self.n_points)
+        return np.linspace(-self.omega_max, self.omega_max, self.n_points)
 
     @classmethod
     def for_model(cls, params: ModelParams, pops: Populations,
@@ -250,24 +229,3 @@ def widest_rate(params: ModelParams, pops: Populations) -> float:
         params.gamma_perp,
         math.sqrt(params.kappa * params.gamma_perp * (1.0 + abs(pops.inversion) / params.n_threshold)),
     )
-
-
-@dataclass(frozen=True)
-class SpectralDensity:
-    """Real nonnegative spectrum sampled on a grid."""
-
-    grid: FrequencyGrid
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != (self.grid.n_points,):
-            raise GridMismatchError(
-                f"{len(vals)} samples for a {self.grid.n_points}-point grid"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise InvalidParamsError(f"spectral density {self.label!r} has non-finite samples")
-        if np.any(vals < 0.0):
-            raise InvalidParamsError(f"spectral density {self.label!r} has negative samples")

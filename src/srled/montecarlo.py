@@ -18,6 +18,11 @@ estimates must agree with the analytic pipeline.
 Per-record RNG streams are counter-based (Philox keyed by master seed and
 record index), so ensembles are bit-reproducible regardless of scheduling.
 
+Spectra enter as functions of omega. One private sampler evaluates a
+spectrum on the record bins, checks that every sample is finite and
+nonnegative, and turns it into the amplitude sqrt(S/T) of each bin; both
+``synthesize_colored_noise`` and the ensemble's c(omega) go through it.
+
 An ensemble computes what its records share once: the loop filter s and
 the amplitude sqrt(c/T) on the record grid, the drive amplitude and the
 AR(1) constants. It then synthesizes records in blocks of at most
@@ -44,17 +49,14 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import (
-    GridMismatchError,
     InvalidParamsError,
     RecordTooLongError,
     StepTooLargeError,
     TooFewRecordsError,
 )
 from .model import (
-    FrequencyGrid,
     ModelParams,
     Populations,
-    SpectralDensity,
     commutator_spectrum,
     loop_denominator,
     widest_rate,
@@ -111,10 +113,6 @@ class MonteCarloConfig:
         """Angular frequencies of the record bins, FFT order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n_samples, d=self.dt)
 
-    def frequency_grid(self) -> FrequencyGrid:
-        """The record grid in sorted (fftshift) order."""
-        return FrequencyGrid(omega_max=np.pi / self.dt, n_points=self.n_samples, layout="fft")
-
     @classmethod
     def for_model(cls, params: ModelParams, pops: Populations,
                   n_records: int = 500, seed: int = 0) -> "MonteCarloConfig":
@@ -166,12 +164,24 @@ def _draw_circular(rng: np.random.Generator, row: np.ndarray) -> None:
 # -- constants shared by all records; transforms in place on any number of
 # -- rows, along the last axis
 
-def _colored_amplitude(spectrum: SpectralDensity,
-                       config: MonteCarloConfig) -> np.ndarray | None:
-    """sqrt(S/T) in FFT bin order; None when S has no positive sample."""
-    if spectrum.grid != config.frequency_grid():
-        raise GridMismatchError("spectrum is not sampled on the record grid")
-    vals = np.fft.ifftshift(spectrum.values)  # sorted -> fft bin order
+def _colored_amplitude(spectrum, config: MonteCarloConfig) -> np.ndarray | None:
+    """sqrt(S/T) in FFT bin order; None when S has no positive sample.
+
+    S is sampled in sorted order, omega_m = -pi/dt + m 2 pi/T, then moved
+    to FFT bin order. These are the bins of config.omegas(), but the two
+    spellings round differently in the last bit; seeded records depend on
+    this one.
+    """
+    n = config.n_samples
+    omega_max = np.pi / config.dt
+    vals = np.asarray(spectrum(-omega_max + (2.0 * omega_max / n) * np.arange(n)), dtype=float)
+    if vals.shape != (n,):
+        raise InvalidParamsError(f"spectrum gave shape {vals.shape} on a {n}-sample record")
+    if not np.all(np.isfinite(vals)):
+        raise InvalidParamsError("spectrum has non-finite samples on the record grid")
+    if np.any(vals < 0.0):
+        raise InvalidParamsError("spectrum has negative samples on the record grid")
+    vals = np.fft.ifftshift(vals)  # sorted -> fft bin order
     if not np.any(vals > 0.0):
         return None
     return np.sqrt(vals / config.duration)
@@ -220,11 +230,8 @@ class _Ensemble:
         self.drive_amp = np.sqrt(drive_psd / config.duration)
         self.c_amp = self.ou = None
         if pops.delta2_ne > 0.0:
-            grid = config.frequency_grid()
-            c_sorted = SpectralDensity(grid, commutator_spectrum(params, pops, grid.omegas()),
-                                       label="c")
+            self.c_amp = _colored_amplitude(lambda w: commutator_spectrum(params, pops, w), config)
             self.ou = _ou_constants(pops, config)
-            self.c_amp = _colored_amplitude(c_sorted, config)
         self.coupling = params.kappa * params.gamma_perp / params.n_threshold
 
     def buffers(self, rows: int):
@@ -258,12 +265,14 @@ class _Ensemble:
         return np.fft.fft(drive, axis=-1, out=drive)
 
 
-def synthesize_colored_noise(spectrum: SpectralDensity, config: MonteCarloConfig,
+def synthesize_colored_noise(spectrum, config: MonteCarloConfig,
                              rng: np.random.Generator) -> np.ndarray:
-    """Stationary circular complex Gaussian series with the given spectrum.
+    """Stationary circular complex Gaussian series with power spectrum S.
 
-    The spectrum must be sampled on the record grid (sorted order). The
-    series x(t_j) = sum_m sqrt(S(omega_m)/T) xi_m exp(-i omega_m t_j) has
+    ``spectrum`` is S as a function of omega: it is called once with the
+    array of record bins omega_m and must return one finite, nonnegative
+    sample per bin (InvalidParamsError otherwise). The series
+    x(t_j) = sum_m sqrt(S(omega_m)/T) xi_m exp(-i omega_m t_j) has
     Var x = (2 pi)^-1 Int S d omega over the record band, with independent
     real and imaginary quadratures.
     """

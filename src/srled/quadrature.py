@@ -112,8 +112,8 @@ def tan_map_rule(scale: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return scale * np.tan(phi), scale * 0.5 * np.pi * w / (cos * cos)
 
 
-def log_ring_rule(gamma: float, scale: float, per_unit: int = 24,
-                  pad: float = 16.0) -> tuple[np.ndarray, np.ndarray, float]:
+def log_ring_rule(gamma: float, scale: float,
+                  per_unit: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Cauchy expectation E[G(X)], X ~ Cauchy(gamma), on a log ring.
 
     Returns (omega, weights, center) with
@@ -121,14 +121,14 @@ def log_ring_rule(gamma: float, scale: float, per_unit: int = 24,
     for a G that is smooth at 0 and vanishes at infinity. The weights are
     the trapezoid rule in t = log omega for Int_0^inf K(omega) g(omega)
     d omega, K the kernel (gamma/pi)/(omega^2+gamma^2), between
-    omega_lo = gamma e^-pad and omega_top = max(scale, gamma) e^+pad;
+    omega_lo = gamma e^-RING_PAD and omega_top = max(scale, gamma) e^+RING_PAD;
     g = G(omega) + G(-omega) - 2 G(0) is O(omega^2) below omega_lo, so
     that end needs no correction. Beyond omega_top, g tends to -2 G(0),
     not to 0: the Cauchy mass there, (1/pi) arctan(gamma/omega_top) per
     side, goes with G(infinity) = 0 and is taken out of the center weight.
     """
-    t_lo = np.log(gamma) - pad
-    t_hi = np.log(max(scale, gamma)) + pad
+    t_lo = np.log(gamma) - RING_PAD
+    t_hi = np.log(max(scale, gamma)) + RING_PAD
     n = int(np.ceil((t_hi - t_lo) * per_unit)) + 1
     t = np.linspace(t_lo, t_hi, n)
     dt = t[1] - t[0]
@@ -153,6 +153,8 @@ EXACT_N_NODES = (200, 48)
 # shifted by +nu and -nu, are 2 x 64 x n_outer values whatever the ring
 # length (~1000 nodes at 24 per unit and gamma_par = 1e-4)
 RING_BLOCK = 64
+# log omega margin of the ring beyond gamma below and max(scale, gamma) above
+RING_PAD = 16.0
 
 
 def commutator_rule(params, pops, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

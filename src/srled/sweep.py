@@ -236,7 +236,7 @@ print("wrote", HERE / "{figure}.png")
 
 
 def reproduce_figure(which: str, n_emitters: float, out_dir: Path,
-                     steps: int = 50, base: ModelParams | None = None) -> list[Path]:
+                     steps: int = 50) -> list[Path]:
     """Emit per-curve sweep datasets plus a plotting script.
 
     fig3: Delta_n vs 2 kappa/gamma_perp for N_th in {15, 10, 5}

@@ -7,7 +7,7 @@ settings.register_profile("srled", derandomize=True, deadline=None)
 settings.load_profile("srled")
 
 # Reference configuration used throughout: kappa = 0.5, gamma_par = 0.1,
-# P = 0.1, N_th = 5, N_0 = 20, f = 0.5 (rates in units of gamma_perp).
+# P = 0.1, N_th = 5, N_0 = 20 (rates in units of gamma_perp).
 # Frozen oracle values are exact rationals from the closed-form populations
 # and the quartic loop integrals, verified against arbitrary-precision
 # quadrature of the defining spectra.

@@ -5,8 +5,6 @@ tolerance is pinned inside srled.validation; the printed line carries the
 measured quantity so a failure is diagnosable from the log alone.
 """
 
-import pytest
-
 from srled.validation import (
     criterion_1_commutator_normalization,
     criterion_2_mean_photon_agreement,

@@ -1,7 +1,6 @@
 """CLI subcommands exercised through main()."""
 
 import numpy as np
-import pytest
 
 from srled.cli import main
 from srled.sweep import read_rows
@@ -98,3 +97,6 @@ def test_invalid_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")
     assert main(["g2", "--config", str(cfg)]) == 2
+    cfg.write_text("pump = abc\n")
+    assert main(["g2", "--config", str(cfg)]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -37,8 +37,6 @@ def kernel_full_residues(params, pops, omega_a, omega_b):
     pole at i gamma_p plus the two zeros of the continued s*(omega + a);
     exact for this rational integrand, fully independent of quadrature.
     """
-    from srled.model import loop_denominator
-
     gamma = pops.gamma_p
     z1, z2, b = _loop_roots_conj(params, pops)
 

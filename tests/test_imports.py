@@ -1,0 +1,59 @@
+"""Every module of the package and the tests reads each name it imports.
+
+``srled/__init__.py`` imports names only to export them; test_exports.py
+covers it. ``from __future__`` imports switch on language features and
+bind nothing that is read.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    [p for p in (ROOT / "src" / "srled").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "tests").glob("*.py"))
+)
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import -> line of the import."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere, string annotations included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations = [a.annotation for a in args.posonlyargs + args.args
+                           + args.kwonlyargs + [args.vararg, args.kwarg] if a is not None]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                names |= _read(ast.parse(ann.value, mode="eval"))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    read = _read(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported(tree).items()
+              if name not in read]
+    assert not unused, f"{path.name} imports names it never reads: {', '.join(unused)}"

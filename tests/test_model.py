@@ -11,7 +11,6 @@ from srled import (
     InvalidParamsError,
     IntegrationSpec,
     ModelParams,
-    SpectralDensity,
     commutator_spectrum,
     derive_populations,
     integrate_1d,
@@ -69,6 +68,13 @@ class TestDerivePopulations:
         with pytest.raises(InvalidParamsError):
             ModelParams(kappa=0.5, gamma_par=0.1, pump=0.1,
                         n_threshold=0.0, n_emitters=20.0)
+        with pytest.raises(InvalidParamsError):
+            ModelParams(kappa=0.5, gamma_par=0.1, pump=0.1,
+                        n_threshold=5.0, n_emitters=np.inf)
+        # kappa gamma_perp / n_threshold overflows
+        with pytest.raises(InvalidParamsError):
+            ModelParams(kappa=1e200, gamma_par=0.1, pump=0.1,
+                        n_threshold=1e-200, n_emitters=20.0)
 
     @given(pump=st.floats(0.0, 0.99), n_emitters=st.floats(1.0, 1e4))
     def test_population_closure(self, pump, n_emitters):
@@ -197,8 +203,5 @@ class TestGrids:
     def test_symmetric_grid_needs_odd_count(self):
         with pytest.raises(InvalidParamsError):
             FrequencyGrid(omega_max=10.0, n_points=100)
-
-    def test_density_validation(self):
-        grid = FrequencyGrid(omega_max=10.0, n_points=11)
         with pytest.raises(InvalidParamsError):
-            SpectralDensity(grid, -np.ones(11))
+            FrequencyGrid(omega_max=np.inf, n_points=5)

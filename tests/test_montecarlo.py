@@ -2,38 +2,33 @@
 
 import dataclasses
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 from srled import (
     InvalidParamsError,
-    ModelParams,
     MomentEstimate,
     MonteCarloConfig,
     RecordTooLongError,
-    SpectralDensity,
     StepTooLargeError,
     TooFewRecordsError,
     derive_populations,
     estimate_moments,
-    g2_closed,
-    mean_photon_closed,
     ou_population_path,
     run_monte_carlo,
     simulate_field_record,
     synthesize_colored_noise,
 )
-from srled.errors import GridMismatchError
 from srled.model import commutator_spectrum
 from srled.montecarlo import MAX_DECAY_STEP, MAX_RECORD_SAMPLES, check_config, record_rng
 
 from conftest import EX1_ORACLE
 
 
-def _flat_density(config, level=1.0):
-    grid = config.frequency_grid()
-    return SpectralDensity(grid, np.full(config.n_samples, level), label="flat")
+def _flat_density(level=1.0):
+    return lambda w: np.full(w.shape, level)
 
 
 class TestConfig:
@@ -90,7 +85,7 @@ class TestConfig:
 class TestColoredNoise:
     def test_flat_spectrum_is_white(self, ex1, ex1_pops):
         config = MonteCarloConfig.for_model(ex1, ex1_pops)
-        flat = _flat_density(config)
+        flat = _flat_density()
         rng = record_rng(config, 0)
         var = np.mean([np.mean(np.abs(synthesize_colored_noise(flat, config, rng)) ** 2)
                        for _ in range(40)])
@@ -99,7 +94,7 @@ class TestColoredNoise:
 
     def test_zero_spectrum_gives_zero_series(self, ex1, ex1_pops):
         config = MonteCarloConfig.for_model(ex1, ex1_pops)
-        series = synthesize_colored_noise(_flat_density(config, 0.0), config, record_rng(config, 0))
+        series = synthesize_colored_noise(_flat_density(0.0), config, record_rng(config, 0))
         assert np.all(series == 0.0)
 
     def test_commutator_variance_is_unity(self, ex1, ex1_pops):
@@ -107,8 +102,7 @@ class TestColoredNoise:
         # for_model record length at 8x the Nyquist frequency
         base = MonteCarloConfig.for_model(ex1, ex1_pops)
         config = MonteCarloConfig(duration=base.duration, n_samples=8 * base.n_samples)
-        grid = config.frequency_grid()
-        dens = SpectralDensity(grid, commutator_spectrum(ex1, ex1_pops, grid.omegas()), "c")
+        dens = partial(commutator_spectrum, ex1, ex1_pops)
         nr = 100
         vals = np.array([
             np.mean(np.abs(synthesize_colored_noise(dens, config, record_rng(config, i))) ** 2)
@@ -118,19 +112,19 @@ class TestColoredNoise:
 
     def test_periodogram_matches_target(self, ex1, ex1_pops):
         config = MonteCarloConfig.for_model(ex1, ex1_pops)
-        grid = config.frequency_grid()
-        dens = SpectralDensity(grid, commutator_spectrum(ex1, ex1_pops, grid.omegas()), "c")
+        dens = partial(commutator_spectrum, ex1, ex1_pops)
         acc = np.zeros(config.n_samples)
         nr = 150
         for i in range(nr):
             series = synthesize_colored_noise(dens, config, record_rng(config, i))
             acc += np.abs(np.fft.ifft(series)) ** 2 * config.duration
         est = np.fft.fftshift(acc / nr)
+        target = commutator_spectrum(ex1, ex1_pops, np.fft.fftshift(config.omegas()))
         # block-average bins so the per-bin noise (100%/sqrt(nr)) drops
         block = 64
         m = (config.n_samples // block) * block
         est_b = est[:m].reshape(-1, block).mean(axis=1)
-        tgt_b = dens.values[:m].reshape(-1, block).mean(axis=1)
+        tgt_b = target[:m].reshape(-1, block).mean(axis=1)
         center = slice(int(0.1 * len(est_b)), int(0.9 * len(est_b)))
         rel = np.abs(est_b[center] - tgt_b[center]) / tgt_b[center]
         assert rel.max() < 0.05
@@ -138,19 +132,20 @@ class TestColoredNoise:
     def test_quadratures_independent(self, ex1, ex1_pops):
         config = MonteCarloConfig.for_model(ex1, ex1_pops)
         series = np.concatenate([
-            synthesize_colored_noise(_flat_density(config), config, record_rng(config, i))
+            synthesize_colored_noise(_flat_density(), config, record_rng(config, i))
             for i in range(20)])
         re, im = series.real, series.imag
         corr = np.mean(re * im) / np.sqrt(np.mean(re ** 2) * np.mean(im ** 2))
         assert abs(corr) < 0.01
         assert np.mean(re ** 2) == pytest.approx(np.mean(im ** 2), rel=0.02)
 
-    def test_grid_mismatch(self, ex1, ex1_pops):
+    def test_rejects_bad_samples(self, ex1, ex1_pops):
         config = MonteCarloConfig.for_model(ex1, ex1_pops)
-        other = dataclasses.replace(config, duration=config.duration / 2.0,
-                                    n_samples=config.n_samples // 2)
-        with pytest.raises(GridMismatchError):
-            synthesize_colored_noise(_flat_density(other), config, record_rng(config, 0))
+        bad = (_flat_density(-1.0), _flat_density(np.inf), _flat_density(np.nan),
+               lambda w: np.ones(w.size // 2), lambda w: 1.0)  # wrong shapes
+        for spectrum in bad:
+            with pytest.raises(InvalidParamsError):
+                synthesize_colored_noise(spectrum, config, record_rng(config, 0))
 
 
 class TestOUPath:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from srled import (
     AboveThresholdError,
-    IntegrationSpec,
     ModelParams,
     derive_populations,
     integrate_1d,
