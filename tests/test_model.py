@@ -11,14 +11,17 @@ from srled import (
     InvalidParamsError,
     IntegrationSpec,
     ModelParams,
+    MonteCarloConfig,
     commutator_spectrum,
     derive_populations,
     integrate_1d,
     loop_denominator,
     population_spectrum,
+    synthesize_colored_noise,
     validity_ratio,
 )
 from srled.model import loop_abs2
+from srled.montecarlo import record_rng
 
 from conftest import EX1_ORACLE
 
@@ -205,3 +208,10 @@ class TestGrids:
             FrequencyGrid(omega_max=10.0, n_points=100)
         with pytest.raises(InvalidParamsError):
             FrequencyGrid(omega_max=np.inf, n_points=5)
+
+    def test_density_validation(self, ex1, ex1_pops):
+        config = MonteCarloConfig.for_model(ex1, ex1_pops)
+        for level in (-1.0, np.inf, np.nan):
+            with pytest.raises(InvalidParamsError):
+                synthesize_colored_noise(lambda w, v=level: np.full(w.shape, v),
+                                         config, record_rng(config, 0))
