@@ -153,8 +153,6 @@ def _cmd_sweep(args) -> int:
         seed=args.seed, records=args.records,
     )
     rows = run_sweep(spec)
-    if args.out is None:
-        raise ModelError("sweep needs --out PATH")
     write_rows(rows, spec, args.out, fmt=args.format)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -169,8 +167,7 @@ def _cmd_figure(which: str, args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    results = run_validation(skip_montecarlo=args.skip_montecarlo,
-                             seed=args.seed, records=args.records)
+    results = run_validation(skip_montecarlo=args.skip_montecarlo)
     failed = 0
     for res in results:
         print(res.line())
@@ -246,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the acceptance suite")
     p.add_argument("--skip-montecarlo", action="store_true")
-    p.add_argument("--seed", type=int, default=505)
-    p.add_argument("--records", type=int, default=500)
     p.set_defaults(func=_cmd_validate)
 
     return parser
@@ -257,7 +252,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ModelError as exc:
+    except (ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

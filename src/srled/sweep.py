@@ -53,6 +53,8 @@ class SweepSpec:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise InvalidParamsError(f"unknown methods {sorted(unknown)}")
+        if not (np.isfinite(self.start) and np.isfinite(self.stop)):
+            raise InvalidParamsError("start and stop must be finite")
         if self.scale == "log" and (self.start <= 0.0 or self.stop <= 0.0):
             raise InvalidParamsError("log scale needs positive endpoints")
 

@@ -100,3 +100,6 @@ def test_invalid_config_key(tmp_path, capsys):
     cfg.write_text("pump = abc\n")
     assert main(["g2", "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
+    # a missing file is one error line, not a traceback
+    assert main(["g2", "--config", str(tmp_path / "missing.cfg")]) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -32,6 +32,10 @@ class TestSweepSpec:
                       methods=("closed", "bogus"))
         with pytest.raises(InvalidParamsError):
             SweepSpec(base=base, variable="pump", start=0.0, stop=2, steps=3, scale="log")
+        for start, stop, scale in ((0.1, float("nan"), "linear"), (float("nan"), 2, "linear"),
+                                   (0.1, float("inf"), "log"), (-float("inf"), 2, "linear")):
+            with pytest.raises(InvalidParamsError):
+                SweepSpec(base=base, variable="pump", start=start, stop=stop, steps=3, scale=scale)
 
     def test_grid_scales(self, base):
         lin = SweepSpec(base=base, variable="pump", start=0.1, stop=1.0, steps=10)
