@@ -17,7 +17,6 @@ from .errors import (
 )
 from .g2 import (
     G2Result,
-    cumulant_kernel,
     g2_bruteforce,
     g2_closed,
     g2_from_delta_n,
@@ -73,7 +72,6 @@ __all__ = [
     "SweepSpec",
     "TooFewRecordsError",
     "commutator_spectrum",
-    "cumulant_kernel",
     "derive_populations",
     "estimate_moments",
     "g2_bruteforce",

@@ -145,6 +145,9 @@ def _cmd_mc(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params = _resolve_params(args)
+    if not args.out.parent.is_dir():
+        # fail before the rows are computed, not when they are written
+        raise FileNotFoundError(f"directory of --out does not exist: {args.out.parent}")
     spec = SweepSpec(
         base=params,
         variable=args.var.replace("-", "_"),

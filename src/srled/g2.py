@@ -13,10 +13,12 @@ field component from c(omega), s(omega) and the population spectrum alone,
     K(w1, w2) = (2 pi)^-1 Int pop_spectrum(w) dw / [s(w + w2) s*(w + w1)],
 
 and assembles g2 = 2 + (kappa gamma_perp / N_th)^4 C / n^2 with n computed
-by the matching quadrature mode. In the delta mode the population spectrum
-collapses to a point mass and C must equal
-[2 delta2_ne (2 pi)^-1 Int c/|s|^2]^2; agreement of the two paths is a
-genuine cross-check of the cumulant algebra.
+by the matching quadrature mode. K is formed on the outer tan-map nodes
+only: in the full mode it is the Cauchy-smoothed inverse loop filter of
+quadrature.smoothed_inverse_filter, whose diagonal also gives the exact n.
+In the delta mode the population spectrum collapses to a point mass and C
+must equal [2 delta2_ne (2 pi)^-1 Int c/|s|^2]^2; agreement of the two
+paths is a genuine cross-check of the cumulant algebra.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .quadrature import (
     IntegrationSpec,
     commutator_rule,
     integrate_1d,
+    refined,
     smoothed_inverse_filter,
 )
 
@@ -69,58 +72,27 @@ def g2_closed(params: ModelParams, pops: Populations) -> G2Result:
     return G2Result(g2=g2_from_delta_n(mp.delta_n), cumulant=None, method=METHOD_CLOSED)
 
 
-def cumulant_kernel(params: ModelParams, pops: Populations,
-                    omega_a: float, omega_b: float, mode: str = "delta") -> complex:
-    """K(omega_a, omega_b), the kernel inside the cumulant integral.
+def _kernel_matrix(params, pops, omega, mode, per_unit):
+    """K(omega_i, omega_j), the kernel inside the cumulant integral, on nodes.
 
-    full: (2 pi)^-1 Int pop_spectrum(w) / [s(w + omega_b) s*(w + omega_a)] dw
-    by adaptive quadrature on the Cauchy-mapped interval.
-    delta: the point-mass reduction delta2_ne / [s(omega_b) s*(omega_a)].
-
-    Satisfies K(a, b) = conj(K(b, a)).
+    delta: the point-mass reduction delta2_ne / [s(omega_j) s*(omega_i)].
+    full: (2 pi)^-1 Int pop_spectrum(w) / [s(w + omega_j) s*(w + omega_i)] dw,
+    the Cauchy-smoothed inverse filter on the log ring with per_unit nodes
+    per unit of log omega. Hermitian: K(a, b) = conj(K(b, a)).
     """
-    _check_below_threshold(params, pops)
     if mode == "delta":
-        return pops.delta2_ne / (
-            loop_denominator(params, pops, omega_b)
-            * np.conj(loop_denominator(params, pops, omega_a))
-        )
-    if mode != "full":
-        raise InvalidParamsError(f"unknown kernel mode {mode!r}")
-    if pops.delta2_ne == 0.0:
-        return 0.0 + 0.0j
-    gamma = pops.gamma_p
-
-    def integrand(theta):
-        w = gamma * np.tan(theta)
-        return 1.0 / (
-            loop_denominator(params, pops, w + omega_b)
-            * np.conj(loop_denominator(params, pops, w + omega_a))
-        )
-
-    # omega = gamma tan(theta) absorbs the Cauchy mass exactly:
-    # K = (delta2_ne / pi) Int_{-pi/2}^{pi/2} integrand d theta
-    val, _ = integrate_1d(integrand, IntegrationSpec(half_width=0.5 * np.pi))
-    return pops.delta2_ne / np.pi * val
-
-
-def _kernel_matrix_delta(params, pops, omega):
-    inv_s = 1.0 / loop_denominator(params, pops, omega)
-    return pops.delta2_ne * np.outer(np.conj(inv_s), inv_s)
-
-
-def _kernel_matrix_full(params, pops, omega, ring_per_unit):
-    """K on the outer grid, Cauchy-smoothed on the shared log ring."""
-    return pops.delta2_ne * smoothed_inverse_filter(params, pops, omega, ring_per_unit)
+        inv_s = 1.0 / loop_denominator(params, pops, omega)
+        return pops.delta2_ne * np.outer(np.conj(inv_s), inv_s)
+    return pops.delta2_ne * smoothed_inverse_filter(params, pops, omega, per_unit)
 
 
 def noise_cumulant(params: ModelParams, pops: Populations,
                    mode: str = "delta") -> tuple[float, float]:
     """The fourth-order field-noise cumulant by 2-D tensor quadrature.
 
-    Returns (value, refinement_error): CUMULANT_NODES against half the
-    outer and half the ring nodes. Nonnegative by construction (the
-    integrand is c c |K|^2 >= 0); zero when fluctuations are disabled.
+    Returns (value, refinement_error) at CUMULANT_NODES, the error by
+    quadrature.refined. Nonnegative by construction (the integrand is
+    c c |K|^2 >= 0); zero when fluctuations are disabled.
     """
     _check_below_threshold(params, pops)
     if mode not in ("delta", "full"):
@@ -130,16 +102,10 @@ def noise_cumulant(params: ModelParams, pops: Populations,
 
     def evaluate(n_nodes, per_unit):
         omega, wc = commutator_rule(params, pops, n_nodes)
-        if mode == "delta":
-            kmat = _kernel_matrix_delta(params, pops, omega)
-        else:
-            kmat = _kernel_matrix_full(params, pops, omega, per_unit)
+        kmat = _kernel_matrix(params, pops, omega, mode, per_unit)
         return 4.0 / (2.0 * np.pi) ** 2 * float(wc @ (np.abs(kmat) ** 2) @ wc)
 
-    n_outer, per_unit = CUMULANT_NODES
-    coarse = evaluate(n_outer // 2, per_unit // 2)
-    fine = evaluate(n_outer, per_unit)
-    return fine, abs(fine - coarse)
+    return refined(evaluate, CUMULANT_NODES)
 
 
 def mean_term_cancellation(params: ModelParams, pops: Populations) -> tuple[float, float]:
@@ -198,18 +164,17 @@ def g2_bruteforce(params: ModelParams, pops: Populations, mode: str = "delta") -
     """g2 = 2 + (kappa gamma_perp/N_th)^4 C / n^2 with everything numerical.
 
     n comes from the matching mean-photon quadrature mode (delta <-> delta,
-    full <-> exact convolution). Exactly 2 when fluctuations are disabled.
+    full <-> exact convolution). Exactly 2 when fluctuations are disabled;
+    noise_cumulant rejects an unknown mode before that shortcut.
     """
-    _check_below_threshold(params, pops)
-    if pops.delta2_ne == 0.0:
-        return G2Result(g2=2.0, cumulant=0.0,
-                        method=METHOD_DELTA if mode == "delta" else METHOD_FULL)
     cum, cum_err = noise_cumulant(params, pops, mode)
+    method = METHOD_DELTA if mode == "delta" else METHOD_FULL
+    if pops.delta2_ne == 0.0:
+        return G2Result(g2=2.0, cumulant=cum, method=method)
     photon_mode = "delta" if mode == "delta" else "exact"
     mp = mean_photon_quadrature(params, pops, mode=photon_mode)
     coup4 = fluctuation_coupling(params) ** 4
     n2 = mp.n_total ** 2
     g2 = 2.0 + coup4 * cum / n2
     err = coup4 * (cum_err / n2 + 2.0 * cum * mp.error / (n2 * mp.n_total))
-    return G2Result(g2=g2, cumulant=cum,
-                    method=METHOD_DELTA if mode == "delta" else METHOD_FULL, error=err)
+    return G2Result(g2=g2, cumulant=cum, method=method, error=err)

@@ -36,6 +36,7 @@ from .quadrature import (
     EXACT_N_NODES,
     commutator_rule,
     integrate_1d,
+    refined,
     smoothed_inverse_filter,
 )
 
@@ -126,8 +127,7 @@ def _fluctuation_exact(params, pops):
 
     h(x) = (2 pi)^-1 Int c(w)/|s(w + x)|^2 dw and X is Cauchy(gamma_p):
     the tan-map rule over w against the diagonal of the smoothed inverse
-    filter. Refinement estimate: EXACT_N_NODES against half the outer and
-    half the ring nodes.
+    filter, at EXACT_N_NODES with the quadrature.refined error estimate.
     """
     scale = pops.delta2_ne * fluctuation_coupling(params) ** 2 / (2.0 * np.pi)
 
@@ -136,9 +136,7 @@ def _fluctuation_exact(params, pops):
         return scale * float(wc @ smoothed_inverse_filter(params, pops, omega, per_unit,
                                                           diagonal=True))
 
-    n_outer, per_unit = EXACT_N_NODES
-    fine = evaluate(n_outer, per_unit)
-    return fine, abs(fine - evaluate(n_outer // 2, per_unit // 2))
+    return refined(evaluate, EXACT_N_NODES)
 
 
 def mean_photon_quadrature(params: ModelParams, pops: Populations,

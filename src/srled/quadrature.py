@@ -1,9 +1,9 @@
 """Adaptive integration and the fixed rules of the population-smoothed paths.
 
-Adaptive 1-D integrals are backed by QUADPACK (scipy.integrate) behind an
-IntegrationSpec contract that turns unreported convergence into a
-NonConvergenceError. The hot, fixed-order rules used by the cumulant code
-live here too:
+Adaptive 1-D integrals of real integrands are backed by QUADPACK
+(scipy.integrate) behind an IntegrationSpec contract that turns unreported
+convergence into a NonConvergenceError. The hot, fixed-order rules used
+by the cumulant code live here too:
 
 * ``tan_map_rule``: Gauss-Legendre on the whole real line through
   omega = scale * tan(phi), exponentially convergent for the rational
@@ -16,7 +16,8 @@ live here too:
   w_j c(omega_j) of the outer tan-map rule and the inverse loop filter on
   that grid, Cauchy-smoothed over the log ring. The exact mean photon
   number takes the diagonal of the latter and the fourth-order cumulant
-  the whole matrix.
+  the whole matrix,
+* ``refined``: the node-halving error estimate of both tensor rules.
 """
 
 from __future__ import annotations
@@ -37,9 +38,13 @@ from .model import (
 )
 
 
+# QUADPACK subdivision budget of every adaptive integral
+MAX_SUBDIVISIONS = 200
+
+
 @dataclass(frozen=True)
 class IntegrationSpec:
-    """Tolerances and budget for adaptive quadrature.
+    """Tolerances and range for adaptive quadrature.
 
     half_width=None integrates over the whole real line; a finite value
     integrates [-half_width, half_width] (the grid rule already guarantees
@@ -48,7 +53,6 @@ class IntegrationSpec:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
-    max_subdivisions: int = 200
     half_width: float | None = None
 
     def __post_init__(self):
@@ -56,18 +60,19 @@ class IntegrationSpec:
             raise ValueError("tolerances must be positive")
         if self.half_width is not None and not self.half_width > 0.0:
             raise ValueError("half_width must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
-def _limits(spec: IntegrationSpec) -> tuple[float, float]:
+def integrate_1d(func, spec: IntegrationSpec = IntegrationSpec()) -> tuple[float, float]:
+    """Adaptive integral of a real integrand over omega.
+
+    Returns (value, error_estimate). Raises NonConvergenceError when the
+    reported error stays far above the requested tolerance, as it does when
+    the MAX_SUBDIVISIONS budget runs out.
+    """
     if spec.half_width is None:
-        return -np.inf, np.inf
-    return -spec.half_width, spec.half_width
-
-
-def _quad_real(func, spec: IntegrationSpec) -> tuple[float, float]:
-    lo, hi = _limits(spec)
+        lo, hi = -np.inf, np.inf
+    else:
+        lo, hi = -spec.half_width, spec.half_width
     with warnings.catch_warnings():
         # QUADPACK warns and still returns its best estimate; judge by the
         # reported error instead of aborting on the warning itself.
@@ -75,29 +80,13 @@ def _quad_real(func, spec: IntegrationSpec) -> tuple[float, float]:
         val, err = integrate.quad(
             func, lo, hi,
             epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
+            limit=MAX_SUBDIVISIONS,
         )
     if err > max(spec.abs_tol, spec.rel_tol * abs(val)) * 50.0:
         raise NonConvergenceError(
             f"reported error {err:.3g} exceeds tolerance for value {val:.6g}"
         )
     return val, err
-
-
-def integrate_1d(func, spec: IntegrationSpec = IntegrationSpec()):
-    """Adaptive integral of a real or complex integrand over omega.
-
-    Returns (value, error_estimate). Raises NonConvergenceError when the
-    subdivision budget is exhausted or the reported error stays far above
-    the requested tolerance.
-    """
-    lo, hi = _limits(spec)
-    probe = func(0.25 * (lo + hi) if np.isfinite(lo) else 0.1234)
-    if np.iscomplexobj(probe) or isinstance(probe, complex):
-        re, re_err = _quad_real(lambda w: func(w).real, spec)
-        im, im_err = _quad_real(lambda w: func(w).imag, spec)
-        return complex(re, im), float(np.hypot(re_err, im_err))
-    return _quad_real(func, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +144,17 @@ EXACT_N_NODES = (200, 48)
 RING_BLOCK = 64
 # log omega margin of the ring beyond gamma below and max(scale, gamma) above
 RING_PAD = 16.0
+
+
+def refined(evaluate, nodes: tuple[int, int]) -> tuple[float, float]:
+    """Value of a tensor rule and its node-halving error estimate.
+
+    Returns (fine, |fine - coarse|): fine is evaluate(n_outer, per_unit) at
+    nodes, coarse the same rule on half the outer and half the ring nodes.
+    """
+    n_outer, per_unit = nodes
+    fine = evaluate(n_outer, per_unit)
+    return fine, abs(fine - evaluate(n_outer // 2, per_unit // 2))
 
 
 def commutator_rule(params, pops, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

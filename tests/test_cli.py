@@ -57,6 +57,17 @@ def test_sweep_and_config_precedence(tmp_path):
     assert all(b < a for a, b in zip(g2, g2[1:]))
 
 
+def test_sweep_missing_out_directory_fails_first(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("srled.cli.run_sweep", lambda spec: calls.append(spec) or [])
+    out = tmp_path / "missing" / "rows.csv"
+    assert main(["sweep", "--var", "pump", "--start", "0.05", "--stop", "0.5",
+                 "--steps", "3", "--out", str(out)]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_sweep_records_format(tmp_path):
     out = tmp_path / "rows.jsonl"
     assert main(["sweep", "--var", "kappa-ratio", "--start", "0.5", "--stop", "2.0",

@@ -8,16 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srled import (
+    InvalidParamsError,
     ModelParams,
     derive_populations,
     g2_bruteforce,
     g2_closed,
     g2_from_delta_n,
-    cumulant_kernel,
     noise_cumulant,
     mean_photon_closed,
 )
-from srled.g2 import METHOD_CLOSED, METHOD_DELTA, METHOD_FULL, cumulant_delta_product_form
+from srled.g2 import (
+    METHOD_CLOSED,
+    METHOD_DELTA,
+    METHOD_FULL,
+    _kernel_matrix,
+    cumulant_delta_product_form,
+)
+from srled.quadrature import CUMULANT_NODES
 
 from conftest import EX1_ORACLE
 
@@ -28,6 +35,14 @@ def _loop_roots_conj(params, pops):
     b = params.kappa + 0.5 * params.gamma_perp
     sq = np.sqrt(complex(4.0 * a - b * b))
     return (1j * b + sq) / 2.0, (1j * b - sq) / 2.0, b
+
+
+def kernel(params, pops, omega_a, omega_b, mode):
+    """K(omega_a, omega_b) read from the kernel matrix that noise_cumulant
+    reduces, on the cumulant's ring."""
+    kmat = _kernel_matrix(params, pops, np.array([omega_a, omega_b]), mode,
+                          CUMULANT_NODES[1])
+    return complex(kmat[0, 1])
 
 
 def kernel_full_residues(params, pops, omega_a, omega_b):
@@ -85,28 +100,31 @@ class TestG2Closed:
 
 class TestCumulantKernel:
     def test_delta_center_value(self, ex1, ex1_pops):
-        val = cumulant_kernel(ex1, ex1_pops, 0.0, 0.0, mode="delta")
+        val = kernel(ex1, ex1_pops, 0.0, 0.0, "delta")
         assert val.real == pytest.approx(EX1_ORACLE["kernel00"], rel=1e-13)
         assert val.imag == pytest.approx(0.0, abs=1e-15)
 
     def test_conjugate_symmetry(self, ex1, ex1_pops):
         for mode in ("delta", "full"):
-            k_ab = cumulant_kernel(ex1, ex1_pops, 0.7, -0.4, mode=mode)
-            k_ba = cumulant_kernel(ex1, ex1_pops, -0.4, 0.7, mode=mode)
+            k_ab = kernel(ex1, ex1_pops, 0.7, -0.4, mode)
+            k_ba = kernel(ex1, ex1_pops, -0.4, 0.7, mode)
             assert k_ab == pytest.approx(np.conj(k_ba), rel=1e-9)
 
-    def test_full_mode_matches_residue_oracle(self, ex1, ex1_pops):
-        for (a, b) in [(0.0, 0.0), (0.7, -0.3), (2.0, 1.5), (-1.2, 0.4)]:
-            quad = cumulant_kernel(ex1, ex1_pops, a, b, mode="full")
-            res = kernel_full_residues(ex1, ex1_pops, a, b)
-            assert quad == pytest.approx(res, rel=1e-8)
+    def test_full_mode_matches_residue_oracle(self, ex1):
+        for gamma_par in (1e-4, 1e-3, 1e-2, 0.1, 1.0):
+            params = dataclasses.replace(ex1, gamma_par=gamma_par)
+            pops = derive_populations(params)
+            for (a, b) in [(0.0, 0.0), (0.7, -0.3), (2.0, 1.5), (-1.2, 0.4)]:
+                quad = kernel(params, pops, a, b, "full")
+                res = kernel_full_residues(params, pops, a, b)
+                assert quad == pytest.approx(res, rel=1e-8), (gamma_par, a, b)
 
     def test_full_approaches_delta_for_narrow_population(self, ex1):
         params = dataclasses.replace(ex1, gamma_par=0.007 * np.sqrt(ex1.kappa))
         pops = derive_populations(params)
         for (a, b) in [(0.0, 0.0), (1.0, -0.5)]:
-            full = cumulant_kernel(params, pops, a, b, mode="full")
-            delta = cumulant_kernel(params, pops, a, b, mode="delta")
+            full = kernel(params, pops, a, b, "full")
+            delta = kernel(params, pops, a, b, "delta")
             assert abs(full - delta) / abs(delta) < 0.01
 
     def test_full_to_delta_error_shrinks(self, ex1):
@@ -114,8 +132,8 @@ class TestCumulantKernel:
         for gamma_par in (0.1, 0.01, 0.001):
             params = dataclasses.replace(ex1, gamma_par=gamma_par)
             pops = derive_populations(params)
-            full = cumulant_kernel(params, pops, 0.5, 0.5, mode="full")
-            delta = cumulant_kernel(params, pops, 0.5, 0.5, mode="delta")
+            full = kernel(params, pops, 0.5, 0.5, "full")
+            delta = kernel(params, pops, 0.5, 0.5, "delta")
             devs.append(abs(full - delta) / abs(delta))
         assert devs[0] > devs[1] > devs[2]
 
@@ -169,6 +187,9 @@ class TestG2Bruteforce:
         res = g2_bruteforce(ex1, ex1_pops.without_fluctuations(), mode="delta")
         assert res.g2 == 2.0
         assert res.cumulant == 0.0
+        # the shortcut does not hide an unknown mode
+        with pytest.raises(InvalidParamsError):
+            g2_bruteforce(ex1, ex1_pops.without_fluctuations(), mode="bogus")
 
     def test_full_mode_ex1(self, ex1, ex1_pops):
         res = g2_bruteforce(ex1, ex1_pops, mode="full")

@@ -168,13 +168,13 @@ class TestMeanPhotonQuadrature:
 
     def test_exact_fluctuation_is_cumulant_kernel_diagonal(self, ex1, ex1_pops):
         # one Cauchy smoothing: exact n is the diagonal of the full kernel
-        from srled.g2 import _kernel_matrix_full
+        from srled.g2 import _kernel_matrix
         from srled.photon import fluctuation_coupling
         from srled.quadrature import EXACT_N_NODES, commutator_rule
 
         n_outer, per_unit = EXACT_N_NODES
         omega, wc = commutator_rule(ex1, ex1_pops, n_outer)
-        kdiag = np.diag(_kernel_matrix_full(ex1, ex1_pops, omega, per_unit))
+        kdiag = np.diag(_kernel_matrix(ex1, ex1_pops, omega, "full", per_unit))
         expected = fluctuation_coupling(ex1) ** 2 / (2.0 * np.pi) * float(wc @ kdiag.real)
         assert np.all(np.abs(kdiag.imag) <= 1e-14 * kdiag.real)
         quad = mean_photon_quadrature(ex1, ex1_pops, mode="exact")
