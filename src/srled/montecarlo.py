@@ -38,6 +38,10 @@ steps, so a record is bit-identical however it is produced.
 A record holds at most ``MAX_RECORD_SAMPLES`` samples; a longer one (small
 gamma_p needs records of about 50/gamma_p) is refused with
 ``RecordTooLongError`` before anything is allocated.
+
+``scipy.signal`` (the AR(1) filter) is loaded with the first record, not
+with the module, so ``import srled`` and every path without Monte Carlo
+stay free of it.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     InvalidParamsError,
@@ -63,6 +66,8 @@ from .model import (
 )
 
 _MIN_RECORDS = 30
+# largest master seed; with the record index it keys a Philox stream
+_MAX_SEED = 2 ** 63
 # record resolution: T >= MIN_CYCLES / gamma_p, Nyquist >= NYQUIST_FACTOR
 # widest_rate, and gamma_p dt <= MAX_DECAY_STEP
 MIN_CYCLES = 50.0
@@ -102,7 +107,7 @@ class MonteCarloConfig:
             )
         if self.n_records < 1:
             raise InvalidParamsError("n_records must be >= 1")
-        if self.seed < 0 or self.seed > 2 ** 63:
+        if self.seed < 0 or self.seed > _MAX_SEED:
             raise InvalidParamsError("seed must fit in a 64-bit key")
 
     @property
@@ -209,6 +214,10 @@ def _ou_constants(pops: Populations, config: MonteCarloConfig):
 
 def _ou_series(innov: np.ndarray, ou) -> np.ndarray:
     """AR(1) paths from standard-normal innovations, which are overwritten."""
+    # imported here, with the first record: scipy.signal takes ~0.5 s and
+    # ~24 MiB to load, and no other path of the package needs it
+    from scipy.signal import lfilter
+
     rho, sigma, sd = ou
     # x[0] = sd innov[0], x[j] = rho x[j-1] + sigma innov[j]; lfilter computes
     # y[j] = drive[j] + rho y[j-1]

@@ -7,7 +7,8 @@ by the cumulant code live here too:
 
 * ``tan_map_rule``: Gauss-Legendre on the whole real line through
   omega = scale * tan(phi), exponentially convergent for the rational
-  spectra of this model (they decay at least like omega^-2),
+  spectra of this model (they decay at least like omega^-2); the unit
+  rule is built once per node count and cached,
 * ``log_ring_rule``: trapezoid in log omega for Cauchy-kernel smoothing
   E[G(X)], X ~ Cauchy(gamma), whose integrand carries structure on two
   widely separated scales (gamma_p and the loop-filter scale),
@@ -22,6 +23,7 @@ by the cumulant code live here too:
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -93,12 +95,31 @@ def integrate_1d(func, spec: IntegrationSpec = IntegrationSpec()) -> tuple[float
 # Fixed rules for the hot paths
 # ---------------------------------------------------------------------------
 
-def tan_map_rule(scale: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for Int_R f(omega) d omega via omega = scale tan(phi)."""
+# unit tan-map rules kept, one per node count; the tensor rules use
+# CUMULANT_NODES, EXACT_N_NODES and their halves (200 and 100 nodes)
+TAN_MAP_CACHE = 8
+
+
+@functools.lru_cache(maxsize=TAN_MAP_CACHE)
+def _unit_tan_map(n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """tan(phi_j), the Gauss-Legendre weights and cos(phi_j)^2, read-only."""
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     phi = 0.5 * np.pi * x
     cos = np.cos(phi)
-    return scale * np.tan(phi), scale * 0.5 * np.pi * w / (cos * cos)
+    rule = (np.tan(phi), w, cos * cos)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def tan_map_rule(scale: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights for Int_R f(omega) d omega via omega = scale tan(phi).
+
+    The unit rule (leggauss and the map) is built once per node count and
+    cached; scale is applied to fresh arrays on every call.
+    """
+    tan, w, cos2 = _unit_tan_map(n_nodes)
+    return scale * tan, scale * 0.5 * np.pi * w / cos2
 
 
 def log_ring_rule(gamma: float, scale: float,

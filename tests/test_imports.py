@@ -1,4 +1,5 @@
-"""Every module of the package and the tests reads each name it imports.
+"""Every module of the package and the tests reads each name it imports,
+and the package loads ``scipy.signal`` only for Monte Carlo.
 
 ``srled/__init__.py`` imports names only to export them; test_exports.py
 covers it. ``from __future__`` imports switch on language features and
@@ -6,6 +7,9 @@ bind nothing that is read.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +61,26 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree).items()
               if name not in read]
     assert not unused, f"{path.name} imports names it never reads: {', '.join(unused)}"
+
+
+FOOTPRINT = """
+import sys
+import srled
+from srled.validation import EX1
+pops = srled.derive_populations(EX1)
+srled.g2_bruteforce(EX1, pops, mode="delta")
+srled.g2_bruteforce(EX1, pops, mode="full")
+srled.mean_photon_quadrature(EX1, pops, mode="exact")
+print("scipy.signal" in sys.modules)
+srled.run_monte_carlo(EX1, pops, srled.MonteCarloConfig.for_model(EX1, pops, n_records=30))
+print("scipy.signal" in sys.modules)
+"""
+
+
+def test_scipy_signal_loaded_only_by_monte_carlo():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

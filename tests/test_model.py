@@ -1,5 +1,7 @@
 """Populations, loop denominator, commutator and population spectra."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,14 +40,17 @@ class TestDerivePopulations:
         assert pops.delta2_ne == pytest.approx(25.0, rel=1e-15)
 
     def test_zero_pump(self):
-        params = ModelParams(kappa=0.5, gamma_par=0.1, pump=0.0,
-                             n_threshold=5.0, n_emitters=20.0)
-        pops = derive_populations(params)
-        assert pops.n_excited == 0.0
-        assert pops.n_ground == 20.0
-        assert pops.inversion == -20.0
-        assert pops.delta2_ne == 0.0
-        assert pops.gamma_p == params.gamma_par
+        # -0.0 is stored as +0.0, so N_e carries no negative sign
+        for pump in (0.0, -0.0):
+            params = ModelParams(kappa=0.5, gamma_par=0.1, pump=pump,
+                                 n_threshold=5.0, n_emitters=20.0)
+            pops = derive_populations(params)
+            assert pops.n_excited == 0.0
+            assert math.copysign(1.0, pops.n_excited) == 1.0
+            assert pops.n_ground == 20.0
+            assert pops.inversion == -20.0
+            assert pops.delta2_ne == 0.0
+            assert pops.gamma_p == params.gamma_par
 
     def test_ex1_rationals(self, ex1, ex1_pops):
         o = EX1_ORACLE

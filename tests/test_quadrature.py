@@ -9,6 +9,7 @@ from srled import (
     commutator_spectrum,
     integrate_1d,
 )
+from srled.quadrature import tan_map_rule
 
 
 class TestIntegrate1D:
@@ -52,3 +53,30 @@ class TestIntegrate1D:
         v1, _ = integrate_1d(integrand, IntegrationSpec(half_width=grid.omega_max))
         v2, _ = integrate_1d(integrand, IntegrationSpec(half_width=2.0 * grid.omega_max))
         assert abs(v2 - v1) / v2 < 1e-6
+
+
+class TestTanMapRule:
+    @staticmethod
+    def uncached(scale, n_nodes):
+        x, w = np.polynomial.legendre.leggauss(n_nodes)
+        phi = 0.5 * np.pi * x
+        cos = np.cos(phi)
+        return scale * np.tan(phi), scale * 0.5 * np.pi * w / (cos * cos)
+
+    @pytest.mark.parametrize("n_nodes", [100, 200, 7])
+    @pytest.mark.parametrize("scale", [1.0, 0.37])
+    def test_matches_uncached_rule_exactly(self, scale, n_nodes):
+        for _ in range(2):  # the first call may build the unit rule, the second reads it
+            omega, weights = tan_map_rule(scale, n_nodes)
+            ref_omega, ref_weights = self.uncached(scale, n_nodes)
+            assert np.array_equal(omega, ref_omega)
+            assert np.array_equal(weights, ref_weights)
+
+    def test_returned_arrays_are_fresh(self):
+        omega, weights = tan_map_rule(0.37, 7)
+        ref_omega, ref_weights = omega.copy(), weights.copy()
+        omega[:] = np.nan
+        weights *= 2.0
+        again = tan_map_rule(0.37, 7)
+        assert np.array_equal(again[0], ref_omega)
+        assert np.array_equal(again[1], ref_weights)

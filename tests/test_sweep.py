@@ -5,6 +5,7 @@ import pytest
 
 from srled import ModelParams, reproduce_figure, run_sweep
 from srled.errors import InvalidParamsError
+from srled.montecarlo import _MIN_RECORDS
 from srled.sweep import SweepSpec, parse_config, read_rows, write_rows
 
 
@@ -36,6 +37,11 @@ class TestSweepSpec:
                                    (0.1, float("inf"), "log"), (-float("inf"), 2, "linear")):
             with pytest.raises(InvalidParamsError):
                 SweepSpec(base=base, variable="pump", start=start, stop=stop, steps=3, scale=scale)
+        # Monte Carlo settings no row could use
+        for records, seed in ((_MIN_RECORDS - 1, 0), (0, 0), (500, -1), (500, 2 ** 63 + 1)):
+            with pytest.raises(InvalidParamsError):
+                SweepSpec(base=base, variable="pump", start=0.1, stop=0.2, steps=2,
+                          methods=("montecarlo",), records=records, seed=seed)
 
     def test_grid_scales(self, base):
         lin = SweepSpec(base=base, variable="pump", start=0.1, stop=1.0, steps=10)
