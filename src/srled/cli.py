@@ -24,7 +24,7 @@ from .model import (
     population_spectrum,
     validity_ratio,
 )
-from .montecarlo import MonteCarloConfig, run_monte_carlo
+from .montecarlo import MonteCarloConfig, _stripes, run_monte_carlo
 from .photon import mean_photon_closed, mean_photon_quadrature, photon_number_spectrum
 from .sweep import (
     METHODS,
@@ -141,7 +141,8 @@ def _cmd_mc(args) -> int:
     wall = time.perf_counter() - t0
     print(f"records = {est.n_records}  samples/record = {config.n_samples}  "
           f"duration = {config.duration:.4g}")
-    print(f"wall = {wall:.3g} s  samples/s = {config.n_samples * config.n_records / wall:.3g}")
+    print(f"wall = {wall:.3g} s  samples/s = {config.n_samples * config.n_records / wall:.3g}  "
+          f"threads = {_stripes(config)[1]}")
     print(f"n  = {est.n:.6g} +- {est.n_se:.2g}")
     print(f"g2 = {est.g2:.6g} +- {est.g2_se:.2g}")
     return 0

@@ -25,15 +25,21 @@ nonnegative, and turns it into the amplitude sqrt(S/T) of each bin; both
 
 An ensemble computes what its records share once: the loop filter s and
 the amplitude sqrt(c/T) on the record grid, the drive amplitude and the
-AR(1) constants. It then synthesizes records in blocks of at most
-``BLOCK_SAMPLES`` samples. Each row of a block is drawn from its own record
-stream (drive, colored noise, OU innovations, in that order), the whole
-block is transformed at once (FFTs and the AR(1) filter along the last
-axis, arithmetic in place), and each row is reduced to its <|a|^2> and
-<|a|^4> before the next block starts. The one-record functions
-``simulate_field_record``, ``synthesize_colored_noise`` and
-``ou_population_path`` are the one-row case of the same draw and transform
-steps, so a record is bit-identical however it is produced.
+AR(1) constants. It then synthesizes records in chunks of consecutive
+records. Each row of a chunk is drawn from its own record stream (drive,
+colored noise, OU innovations, in that order), the whole chunk is
+transformed at once (FFTs and the AR(1) filter along the last axis,
+arithmetic in place), and each row is reduced to its <|a|^2> and <|a|^4>
+before the worker takes its next chunk. The chunks are striped over one
+worker per CPU the process may use: the calling thread and a thread pool,
+each worker with its own buffers. The per-chunk means are joined in record
+order, so the estimate is bit-identical for any number of workers. The
+chunks in flight hold about one block of ``BLOCK_SAMPLES`` samples while
+one record per worker fits in it, and one record per worker otherwise. The
+one-record functions ``simulate_field_record``,
+``synthesize_colored_noise`` and ``ou_population_path`` are the one-row
+case of the same draw and transform steps and run in the calling thread,
+so a record is bit-identical however it is produced.
 
 A record holds at most ``MAX_RECORD_SAMPLES`` samples; a longer one (small
 gamma_p needs records of about 50/gamma_p) is refused with
@@ -41,12 +47,16 @@ gamma_p needs records of about 50/gamma_p) is refused with
 
 ``scipy.signal`` (the AR(1) filter) is loaded with the first record, not
 with the module, so ``import srled`` and every path without Monte Carlo
-stay free of it.
+stay free of it. An ensemble loads it in the calling thread, before any
+worker thread starts.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +85,8 @@ NYQUIST_FACTOR = 10.0
 MAX_DECAY_STEP = 0.1
 # longest record: 2^20 complex samples is ~16 MiB per working array
 MAX_RECORD_SAMPLES = 1 << 20
-# samples per synthesis block; a block holds max(1, BLOCK_SAMPLES // n) records
+# samples in flight per ensemble: each of W workers synthesizes chunks of
+# max(1, BLOCK_SAMPLES // n // W) records
 BLOCK_SAMPLES = 1 << 15
 _SQRT2 = np.sqrt(2.0)
 
@@ -372,19 +383,56 @@ def estimate_moments(records) -> MomentEstimate:
                                  for rec in records])
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on, the most workers an ensemble uses."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _stripes(config: MonteCarloConfig) -> tuple[int, int]:
+    """(records per chunk, workers) of an ensemble; never more workers than chunks."""
+    cpus = _cpu_count()
+    rows = max(1, BLOCK_SAMPLES // config.n_samples // cpus)
+    return rows, min(cpus, -(-config.n_records // rows))
+
+
 def run_monte_carlo(params: ModelParams, pops: Populations,
                     config: MonteCarloConfig) -> MomentEstimate:
-    """Simulate the ensemble block by block and estimate moments, deterministically."""
+    """Simulate the ensemble chunk by chunk on every CPU and estimate moments.
+
+    Chunks of consecutive records are striped over the workers: worker w
+    synthesizes chunks w, w + W, w + 2W, ... in its own buffers, the calling
+    thread being worker 0. Every record is drawn from its own stream and
+    transformed row by row, and the per-chunk means are joined in record
+    order, so a seeded ensemble is bit-identical for any number of workers.
+    The chunks in flight hold about max(BLOCK_SAMPLES, W n_samples) samples:
+    one block while W records fit in it, one record per worker otherwise.
+    """
     check_config(params, pops, config)
     _require_records(config.n_records)
     ensemble = _Ensemble(params, pops, config)
-    rows = max(1, BLOCK_SAMPLES // config.n_samples)
-    block = ensemble.buffers(rows)  # reused, so a block's arrays are allocated once
-    means = []
-    for start in range(0, config.n_records, rows):
-        stop = min(start + rows, config.n_records)
-        bufs = [None if b is None else b[:stop - start] for b in block]
-        for row, index in enumerate(range(start, stop)):
-            ensemble.draw(record_rng(config, index), row, bufs)
-        means += [_record_means(i) for i in np.abs(ensemble.fields(bufs)) ** 2]
-    return _estimate_from_means(means)
+    if ensemble.ou is not None:
+        # load the AR(1) filter here, not in the first record of a worker thread
+        importlib.import_module("scipy.signal")
+    rows, workers = _stripes(config)
+    starts = range(0, config.n_records, rows)
+    chunks = [None] * len(starts)  # per-record means of each chunk
+
+    def work(w: int) -> None:
+        block = ensemble.buffers(rows)  # reused, so a worker allocates its arrays once
+        for c in range(w, len(starts), workers):
+            start = starts[c]
+            stop = min(start + rows, config.n_records)
+            bufs = [None if b is None else b[:stop - start] for b in block]
+            for row, index in enumerate(range(start, stop)):
+                ensemble.draw(record_rng(config, index), row, bufs)
+            chunks[c] = [_record_means(i) for i in np.abs(ensemble.fields(bufs)) ** 2]
+
+    # threads start on submit, so a single worker starts none
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        helpers = [pool.submit(work, w) for w in range(1, workers)]
+        work(0)
+        for helper in helpers:
+            helper.result()
+    return _estimate_from_means([m for chunk in chunks for m in chunk])

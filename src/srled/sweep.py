@@ -3,9 +3,10 @@
 Sweeps vary exactly one model field over a linear or log range and compute
 the requested method columns per point. Rows never abort the sweep: model
 errors (for example crossing threshold mid-range) land in the row's flag
-column. Output is CSV (a units comment line plus a header row) or
-line-delimited JSON records; identical spec and seed give byte-identical
-files, so no timestamps or environment data are written.
+column, and their messages in the ``error`` key of a JSON record. Output
+is CSV (a units comment line plus a header row) or line-delimited JSON
+records; identical spec and seed give byte-identical files, so no
+timestamps or environment data are written.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ class SweepRow:
     g2_mc_se: float | None = None
     validity_ratio: float | None = None
     flags: str = ""
+    error: str = ""  # message of the ModelError that flagged the row
 
 
 def _columns(methods) -> list[str]:
@@ -130,6 +132,7 @@ def compute_row(spec: SweepSpec, value: float) -> SweepRow:
             row.g2_mc, row.g2_mc_se = est.g2, est.g2_se
     except ModelError as exc:
         flags.append(type(exc).__name__.removesuffix("Error"))
+        row.error = str(exc)
     row.flags = ";".join(flags)
     return row
 
@@ -172,6 +175,7 @@ def write_rows(rows: list[SweepRow], spec: SweepSpec, path: Path, fmt: str = "cs
                 rec.update({c: getattr(row, c) for c in cols})
                 rec["validity_ratio"] = row.validity_ratio
                 rec["flags"] = row.flags
+                rec["error"] = row.error
                 fh.write(json.dumps(rec) + "\n")
     else:
         raise InvalidParamsError(f"unknown format {fmt!r}")

@@ -1,5 +1,7 @@
 """CLI subcommands exercised through main()."""
 
+import re
+
 import numpy as np
 
 from srled.cli import main
@@ -82,6 +84,7 @@ def test_mc_command(capsys):
     out = capsys.readouterr().out
     assert "g2 =" in out and "+-" in out
     assert "wall = " in out and "samples/s = " in out
+    assert re.search(r"samples/s = \S+  threads = [1-9]\d*\n", out)
 
 
 def test_reproduce_figure(tmp_path, capsys):

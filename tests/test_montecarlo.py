@@ -1,6 +1,8 @@
 """Stochastic records: synthesis fidelity, OU statistics, moment estimates."""
 
 import dataclasses
+import sys
+import threading
 import tracemalloc
 from functools import partial
 
@@ -9,6 +11,7 @@ import pytest
 
 from srled import (
     InvalidParamsError,
+    ModelError,
     MomentEstimate,
     MonteCarloConfig,
     RecordTooLongError,
@@ -21,6 +24,7 @@ from srled import (
     simulate_field_record,
     synthesize_colored_noise,
 )
+from srled import montecarlo
 from srled.model import commutator_spectrum
 from srled.montecarlo import MAX_DECAY_STEP, MAX_RECORD_SAMPLES, check_config, record_rng
 
@@ -228,6 +232,48 @@ class TestFieldRecords:
         assert run_monte_carlo(params, pops, config) == MomentEstimate(
             n=0.0536406637766617, g2=2.181550600349273, n_se=0.00035363554060655267,
             g2_se=0.012936052597655713, n_records=30)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_count_keeps_golden_estimates(self, ex1, ex1_pops, monkeypatch, workers):
+        # 3 workers stripe 19 chunks of 2 records unevenly, the last chunk
+        # holding 1; records of 32768 samples take one chunk each
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a lost chunk would show
+        try:
+            config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=37, seed=9)
+            assert run_monte_carlo(ex1, ex1_pops, config) == MomentEstimate(
+                n=0.053595462667502876, g2=2.1591545878105176, n_se=0.0005866513469295254,
+                g2_se=0.03718569905312106, n_records=37)
+            params = dataclasses.replace(ex1, gamma_par=0.01)
+            pops = derive_populations(params)
+            config = MonteCarloConfig.for_model(params, pops, n_records=30, seed=3)
+            assert montecarlo._stripes(config) == (1, workers)
+            assert run_monte_carlo(params, pops, config) == MomentEstimate(
+                n=0.0536406637766617, g2=2.181550600349273, n_se=0.00035363554060655267,
+                g2_se=0.012936052597655713, n_records=30)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_error_is_raised_and_threads_end(self, ex1, ex1_pops, monkeypatch):
+        # two workers: the helper thread fails on its first chunk while the
+        # calling thread synthesizes its own
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+        fields = montecarlo._Ensemble.fields
+        failure = ModelError("helper chunk failed")
+
+        def failing_fields(self, bufs):
+            if threading.current_thread() is not threading.main_thread():
+                raise failure
+            return fields(self, bufs)
+
+        monkeypatch.setattr(montecarlo._Ensemble, "fields", failing_fields)
+        config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=37, seed=9)
+        before = threading.active_count()
+        with pytest.raises(ModelError) as info:
+            run_monte_carlo(ex1, ex1_pops, config)
+        assert info.value is failure
+        assert threading.active_count() == before
 
     def test_ensemble_peak_memory_within_one_block(self, ex1, ex1_pops):
         config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=64, seed=1)

@@ -87,6 +87,20 @@ class TestRunSweep:
         assert long_row.g2_closed is not None and long_row.g2_mc is None
         assert "RecordTooLong" not in ex1_row.flags and ex1_row.g2_mc is not None
 
+    def test_records_carry_error_message(self, base, tmp_path):
+        # the row past threshold names its reason in records, not in CSV
+        spec = SweepSpec(base=base, variable="pump", start=0.5, stop=50.0,
+                         steps=5, scale="log")
+        rows = run_sweep(spec)
+        path = tmp_path / "sweep.jsonl"
+        write_rows(rows, spec, path, fmt="records")
+        recs = read_rows(path)
+        assert "AboveThreshold" in recs[-1]["flags"]
+        assert recs[-1]["error"].startswith("inversion ")
+        assert recs[0]["flags"] == "validity_ratio_above_0.1" and recs[0]["error"] == ""
+        write_rows(rows, spec, tmp_path / "sweep.csv")
+        assert all("error" not in rec for rec in read_rows(tmp_path / "sweep.csv"))
+
     def test_quadrature_column(self, base):
         spec = SweepSpec(base=base, variable="pump", start=0.05, stop=0.5, steps=3,
                          methods=("closed", "quadrature"))
