@@ -34,8 +34,11 @@ before the worker takes its next chunk. The chunks are striped over one
 worker per CPU the process may use: the calling thread and a thread pool,
 each worker with its own buffers. The per-chunk means are joined in record
 order, so the estimate is bit-identical for any number of workers. The
-chunks in flight hold about one block of ``BLOCK_SAMPLES`` samples while
-one record per worker fits in it, and one record per worker otherwise. The
+worker count is capped so the chunks in flight never hold more samples
+than the serial loop's worst case, whatever the host: one block of
+``BLOCK_SAMPLES`` samples for records shorter than a block, and one record
+per worker, at most ``MAX_RECORD_SAMPLES`` samples together, otherwise. A
+worker that fails stops the others before their next chunk. The
 one-record functions ``simulate_field_record``,
 ``synthesize_colored_noise`` and ``ou_population_path`` are the one-row
 case of the same draw and transform steps and run in the calling thread,
@@ -58,6 +61,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from threading import Event
 
 import numpy as np
 
@@ -85,8 +89,8 @@ NYQUIST_FACTOR = 10.0
 MAX_DECAY_STEP = 0.1
 # longest record: 2^20 complex samples is ~16 MiB per working array
 MAX_RECORD_SAMPLES = 1 << 20
-# samples in flight per ensemble: each of W workers synthesizes chunks of
-# max(1, BLOCK_SAMPLES // n // W) records
+# samples in flight per ensemble of records shorter than this: each of W
+# workers synthesizes chunks of max(1, BLOCK_SAMPLES // n // W) records
 BLOCK_SAMPLES = 1 << 15
 _SQRT2 = np.sqrt(2.0)
 
@@ -391,10 +395,18 @@ def _cpu_count() -> int:
 
 
 def _stripes(config: MonteCarloConfig) -> tuple[int, int]:
-    """(records per chunk, workers) of an ensemble; never more workers than chunks."""
+    """(records per chunk, workers) of an ensemble.
+
+    Never more workers than chunks, nor than the samples in flight allow:
+    rows * workers * n_samples stays within BLOCK_SAMPLES for records
+    shorter than a block, and within MAX_RECORD_SAMPLES otherwise, the most
+    a single worker ever holds.
+    """
+    n = config.n_samples
     cpus = _cpu_count()
-    rows = max(1, BLOCK_SAMPLES // config.n_samples // cpus)
-    return rows, min(cpus, -(-config.n_records // rows))
+    rows = max(1, BLOCK_SAMPLES // n // cpus)
+    budget = BLOCK_SAMPLES if n < BLOCK_SAMPLES else MAX_RECORD_SAMPLES
+    return rows, min(cpus, -(-config.n_records // rows), budget // (rows * n))
 
 
 def run_monte_carlo(params: ModelParams, pops: Populations,
@@ -406,8 +418,12 @@ def run_monte_carlo(params: ModelParams, pops: Populations,
     thread being worker 0. Every record is drawn from its own stream and
     transformed row by row, and the per-chunk means are joined in record
     order, so a seeded ensemble is bit-identical for any number of workers.
-    The chunks in flight hold about max(BLOCK_SAMPLES, W n_samples) samples:
-    one block while W records fit in it, one record per worker otherwise.
+    W is the CPU count of the process, capped so that the chunks in flight
+    hold at most one block of BLOCK_SAMPLES samples for records shorter
+    than a block, and one record per worker, at most MAX_RECORD_SAMPLES
+    samples together, otherwise. An error in any worker, or an interrupt
+    of the calling thread, stops the other workers before their next
+    chunk; the call raises it once they have stopped.
     """
     check_config(params, pops, config)
     _require_records(config.n_records)
@@ -418,16 +434,23 @@ def run_monte_carlo(params: ModelParams, pops: Populations,
     rows, workers = _stripes(config)
     starts = range(0, config.n_records, rows)
     chunks = [None] * len(starts)  # per-record means of each chunk
+    failed = Event()  # set by a worker that raises, so the others stop early
 
     def work(w: int) -> None:
-        block = ensemble.buffers(rows)  # reused, so a worker allocates its arrays once
-        for c in range(w, len(starts), workers):
-            start = starts[c]
-            stop = min(start + rows, config.n_records)
-            bufs = [None if b is None else b[:stop - start] for b in block]
-            for row, index in enumerate(range(start, stop)):
-                ensemble.draw(record_rng(config, index), row, bufs)
-            chunks[c] = [_record_means(i) for i in np.abs(ensemble.fields(bufs)) ** 2]
+        try:
+            block = ensemble.buffers(rows)  # reused, so a worker allocates its arrays once
+            for c in range(w, len(starts), workers):
+                if failed.is_set():
+                    return
+                start = starts[c]
+                stop = min(start + rows, config.n_records)
+                bufs = [None if b is None else b[:stop - start] for b in block]
+                for row, index in enumerate(range(start, stop)):
+                    ensemble.draw(record_rng(config, index), row, bufs)
+                chunks[c] = [_record_means(i) for i in np.abs(ensemble.fields(bufs)) ** 2]
+        except BaseException:
+            failed.set()
+            raise
 
     # threads start on submit, so a single worker starts none
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:

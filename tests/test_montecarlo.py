@@ -256,24 +256,66 @@ class TestFieldRecords:
             sys.setswitchinterval(interval)
 
     def test_worker_error_is_raised_and_threads_end(self, ex1, ex1_pops, monkeypatch):
-        # two workers: the helper thread fails on its first chunk while the
-        # calling thread synthesizes its own
+        # two workers over 10 chunks: the helper thread fails on its first
+        # chunk, and the calling thread holds its first chunk until the
+        # failure is signalled, then takes no other
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+        events = []
+
+        def recording_event():
+            events.append(threading.Event())
+            return events[-1]
+
+        monkeypatch.setattr(montecarlo, "Event", recording_event)
         fields = montecarlo._Ensemble.fields
         failure = ModelError("helper chunk failed")
+        main_chunks = []
 
         def failing_fields(self, bufs):
             if threading.current_thread() is not threading.main_thread():
                 raise failure
+            main_chunks.append(len(bufs[0]))
+            assert events[0].wait(timeout=30.0)
             return fields(self, bufs)
 
         monkeypatch.setattr(montecarlo._Ensemble, "fields", failing_fields)
         config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=37, seed=9)
+        assert montecarlo._stripes(config) == (4, 2)
         before = threading.active_count()
         with pytest.raises(ModelError) as info:
             run_monte_carlo(ex1, ex1_pops, config)
         assert info.value is failure
+        assert main_chunks == [4]
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [2, 16, 32])
+    def test_many_cpus_keep_one_block(self, ex1, ex1_pops, monkeypatch, cpus):
+        # the bound of test_ensemble_peak_memory_within_one_block, on hosts
+        # with more CPUs than a block holds 4096-sample records
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+        config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=64, seed=1)
+        rows, workers = montecarlo._stripes(config)
+        assert rows * workers * config.n_samples <= montecarlo.BLOCK_SAMPLES
+        long = dataclasses.replace(config, duration=config.duration * 8, n_samples=2 ** 15)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a first record loads scipy.signal, which the peaks must not count
+        simulate_field_record(ex1, ex1_pops, config, record_rng(config, 0))
+        ensemble = peak(lambda: run_monte_carlo(ex1, ex1_pops, config))
+        record = peak(lambda: simulate_field_record(ex1, ex1_pops, long, record_rng(long, 0)))
+        assert ensemble <= record
+        # half-block records: two in flight; records of a block or more: one
+        # per worker, MAX_RECORD_SAMPLES together
+        for n, workers in ((2 ** 14, 2), (2 ** 15, cpus), (MAX_RECORD_SAMPLES, 1)):
+            sized = dataclasses.replace(config, n_samples=n, n_records=500)
+            assert montecarlo._stripes(sized) == (1, workers)
 
     def test_ensemble_peak_memory_within_one_block(self, ex1, ex1_pops):
         config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=64, seed=1)
