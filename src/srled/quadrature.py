@@ -15,9 +15,11 @@ by the cumulant code live here too:
 * ``commutator_rule`` and ``smoothed_inverse_filter``: the two halves of
   every full-Lorentzian (population-smoothed) quantity, the weights
   w_j c(omega_j) of the outer tan-map rule and the inverse loop filter on
-  that grid, Cauchy-smoothed over the log ring. The exact mean photon
-  number takes the diagonal of the latter and the fourth-order cumulant
-  the whole matrix,
+  that grid, Cauchy-smoothed over the log ring. The ring is walked once,
+  with +nu only: s(-omega) = conj s(omega), so the -nu half is the +nu
+  half on the mirrored grid, conjugated. The exact mean photon number
+  takes the diagonal of the smoothed filter and the fourth-order
+  cumulant the whole matrix,
 * ``refined``: the node-halving error estimate of both tensor rules.
 """
 
@@ -160,8 +162,9 @@ def log_ring_rule(gamma: float, scale: float,
 CUMULANT_NODES = (200, 24)
 EXACT_N_NODES = (200, 48)
 # ring nodes per block of smoothed_inverse_filter: a block's filters,
-# shifted by +nu and -nu, are 2 x 64 x n_outer values whatever the ring
-# length (~1000 nodes at 24 per unit and gamma_par = 1e-4)
+# shifted by +nu on the mirror-closed grid, are 64 x n_outer values on a
+# tan-map grid whatever the ring length (~1000 nodes at 24 per unit and
+# gamma_par = 1e-4)
 RING_BLOCK = 64
 # log omega margin of the ring beyond gamma below and max(scale, gamma) above
 RING_PAD = 16.0
@@ -189,32 +192,31 @@ def smoothed_inverse_filter(params, pops, omega: np.ndarray, per_unit: int,
     """E[conj(1/s(omega_i + X)) / s(omega_j + X)], X ~ Cauchy(gamma_p).
 
     The Cauchy expectation runs on log_ring_rule(gamma_p, widest_rate):
-    center G(0) + sum_k w_k [G(nu_k) + G(-nu_k)], where the inverse filters
-    shifted by +-nu_k factorize, so the matrix is a weighted Gram matrix of
-    the shifted filters. The ring is walked RING_BLOCK nodes at a time.
-    With diagonal=True only the real diagonal E|s(omega_j + X)|^-2 is
-    formed, from |s|^2 directly.
+    center G(0) + sum_k w_k [G(nu_k) + G(-nu_k)], a weighted Gram matrix of
+    the shifted inverse filters. s(-x) = conj s(x) makes the -nu_k half at
+    omega the conjugated +nu_k half at -omega, so the ring is walked once,
+    RING_BLOCK nodes at a time, with +nu_k and half the center on the sorted
+    grid u of +-omega (omega itself on a tan-map grid); np.flip maps u to -u
+    and adds the mirror. diagonal=True forms only the real E|s(omega_j + X)|^-2.
     """
     nodes, ring_w, center = log_ring_rule(pops.gamma_p, widest_rate(params, pops),
                                           per_unit=per_unit)
+    u = np.unique(np.concatenate((omega, -omega)))
     if diagonal:
-        out = center / loop_abs2(params, pops, omega)
+        out = 0.5 * center / loop_abs2(params, pops, u)
     else:
-        inv0 = 1.0 / loop_denominator(params, pops, omega)
-        # Fortran order lets zherk add each block in place
-        out = np.asfortranarray(center * np.outer(np.conj(inv0), inv0))
+        out = blas.zherk(0.5 * center, 1.0 / loop_denominator(params, pops, u[None]), trans=2)
     for start in range(0, nodes.size, RING_BLOCK):
-        nu = nodes[start:start + RING_BLOCK, None]
-        shifted = np.concatenate((omega + nu, omega - nu))
-        w = np.tile(ring_w[start:start + RING_BLOCK], 2)
+        shifted = u + nodes[start:start + RING_BLOCK, None]
+        w = ring_w[start:start + RING_BLOCK]
         if diagonal:
             out += w @ (1.0 / loop_abs2(params, pops, shifted))
         else:
-            # Hermitian rank-k update of the upper triangle, half the work
-            # of a general product: out += a^H a with a = sqrt(w) / s
+            # out += a^H a, a = sqrt(w) / s, on the upper triangle (zherk)
             a = np.sqrt(w)[:, None] / loop_denominator(params, pops, shifted)
             out = blas.zherk(1.0, a, beta=1.0, c=out, trans=2, overwrite_c=1)
-    if diagonal:
-        return out
-    return np.triu(out) + np.conj(np.triu(out, 1)).T
-
+    if not diagonal:
+        out = np.triu(out) + np.conj(np.triu(out, 1)).T
+    out = out + np.conj(np.flip(out))
+    at = np.searchsorted(u, omega)
+    return out[at] if diagonal else out[np.ix_(at, at)]

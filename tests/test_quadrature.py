@@ -1,4 +1,7 @@
-"""Adaptive integration contracts and the grid half-width rule."""
+"""Adaptive integration contracts, the grid half-width rule and the fixed
+rules of the population-smoothed paths."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,9 +10,20 @@ from srled import (
     IntegrationSpec,
     NonConvergenceError,
     commutator_spectrum,
+    derive_populations,
     integrate_1d,
+    noise_cumulant,
 )
-from srled.quadrature import tan_map_rule
+from srled import quadrature
+from srled.model import loop_denominator, widest_rate
+from srled.quadrature import (
+    CUMULANT_NODES,
+    EXACT_N_NODES,
+    commutator_rule,
+    log_ring_rule,
+    smoothed_inverse_filter,
+    tan_map_rule,
+)
 
 
 class TestIntegrate1D:
@@ -72,6 +86,15 @@ class TestTanMapRule:
             assert np.array_equal(omega, ref_omega)
             assert np.array_equal(weights, ref_weights)
 
+    @pytest.mark.parametrize("n_nodes", sorted({n for rule in (CUMULANT_NODES, EXACT_N_NODES)
+                                                for n in (rule[0], rule[0] // 2)}))
+    @pytest.mark.parametrize("scale", [1.0, 0.37])
+    def test_nodes_are_odd(self, scale, n_nodes):
+        # the tensor rules' outer grids are their own mirrors, so
+        # smoothed_inverse_filter walks the ring for each node only once
+        omega, _ = tan_map_rule(scale, n_nodes)
+        assert np.array_equal(omega, -omega[::-1])
+
     def test_returned_arrays_are_fresh(self):
         omega, weights = tan_map_rule(0.37, 7)
         ref_omega, ref_weights = omega.copy(), weights.copy()
@@ -80,3 +103,50 @@ class TestTanMapRule:
         again = tan_map_rule(0.37, 7)
         assert np.array_equal(again[0], ref_omega)
         assert np.array_equal(again[1], ref_weights)
+
+
+class TestSmoothedInverseFilter:
+    @staticmethod
+    def direct(params, pops, omega, per_unit):
+        """The ring sum with 1/s evaluated at omega + nu and at omega - nu:
+        center G(0) + sum_k w_k [G(nu_k) + G(-nu_k)], no mirror identity."""
+        nodes, ring_w, center = log_ring_rule(pops.gamma_p, widest_rate(params, pops),
+                                              per_unit)
+        nu = np.concatenate((nodes, -nodes))[:, None]
+        rows = np.sqrt(np.tile(ring_w, 2))[:, None] / loop_denominator(params, pops, omega + nu)
+        inv0 = 1.0 / loop_denominator(params, pops, omega)
+        return center * np.outer(np.conj(inv0), inv0) + np.conj(rows).T @ rows
+
+    @pytest.mark.parametrize("gamma_par", [1e-4, 0.1, 1.0])
+    @pytest.mark.parametrize("grid", [200, 100, 7, "not mirror-closed"])
+    def test_matches_direct_ring_sum(self, ex1, grid, gamma_par):
+        params = dataclasses.replace(ex1, gamma_par=gamma_par)
+        pops = derive_populations(params)
+        if grid == "not mirror-closed":
+            omega = np.array([0.7, -0.3, 2.0])
+        else:
+            omega = tan_map_rule(widest_rate(params, pops), grid)[0]
+        for per_unit in (CUMULANT_NODES[1], EXACT_N_NODES[1]):
+            ref = self.direct(params, pops, omega, per_unit)
+            full = smoothed_inverse_filter(params, pops, omega, per_unit)
+            diag = smoothed_inverse_filter(params, pops, omega, per_unit, diagonal=True)
+            np.testing.assert_allclose(full, ref, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(diag, np.diag(ref).real, rtol=1e-12, atol=0.0)
+
+    def test_full_cumulant_shifts_each_outer_node_once_per_ring_node(self, ex1, ex1_pops,
+                                                                     monkeypatch):
+        evaluated = []
+
+        def counting(params, pops, omega):
+            evaluated.append(np.size(omega))
+            return loop_denominator(params, pops, omega)
+
+        monkeypatch.setattr(quadrature, "loop_denominator", counting)
+        noise_cumulant(ex1, ex1_pops, mode="full")
+        # fine and coarse rules of quadrature.refined: one unshifted filter
+        # and one per ring node at each outer node, not two (+nu and -nu)
+        expected = 0
+        for n_outer, per_unit in (CUMULANT_NODES, tuple(n // 2 for n in CUMULANT_NODES)):
+            ring = log_ring_rule(ex1_pops.gamma_p, widest_rate(ex1, ex1_pops), per_unit)[0]
+            expected += (ring.size + 1) * commutator_rule(ex1, ex1_pops, n_outer)[0].size
+        assert sum(evaluated) == expected
