@@ -32,8 +32,9 @@ transformed at once (FFTs and the AR(1) filter along the last axis,
 arithmetic in place), and each row is reduced to its <|a|^2> and <|a|^4>
 before the worker takes its next chunk. The chunks are striped over one
 worker per CPU the process may use: the calling thread and a thread pool,
-each worker with its own buffers. The per-chunk means are joined in record
-order, so the estimate is bit-identical for any number of workers. The
+each worker with its own buffers. Each record's two means are written at
+its record index in two preallocated arrays, so the workers need no join
+and the estimate is bit-identical for any number of workers. The
 worker count is capped so the chunks in flight never hold more samples
 than the serial loop's worst case, whatever the host: one block of
 ``BLOCK_SAMPLES`` samples for records shorter than a block, and one record
@@ -111,8 +112,8 @@ class MonteCarloConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.duration > 0.0:
-            raise InvalidParamsError("duration must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise InvalidParamsError("duration must be positive and finite")
         if self.n_samples < 2 or self.n_samples & (self.n_samples - 1):
             raise InvalidParamsError("n_samples must be a power of two >= 2")
         if self.n_samples > MAX_RECORD_SAMPLES:
@@ -353,21 +354,25 @@ def _require_records(n_rec: int) -> None:
         raise TooFewRecordsError(f"need at least {_MIN_RECORDS} records, got {n_rec}")
 
 
-def _record_means(intensity: np.ndarray) -> tuple[float, float]:
-    """<|a|^2> and <|a|^4> of one record, from its |a|^2."""
-    return float(np.mean(intensity)), float(np.mean(intensity * intensity))
+def _record_means(intensity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<|a|^2> and <|a|^4> of each record along the last axis of its |a|^2.
+
+    ``intensity`` is squared in place, so a block of records needs no
+    temporary of its size.
+    """
+    n = np.mean(intensity, axis=-1)
+    intensity *= intensity
+    return n, np.mean(intensity, axis=-1)
 
 
-def _estimate_from_means(means) -> MomentEstimate:
-    """n = <<|a|^2>>, g2 = <<|a|^4>> / n^2 from per-record (<|a|^2>, <|a|^4>).
+def _estimate_from_means(nr: np.ndarray, qr: np.ndarray) -> MomentEstimate:
+    """n = <<|a|^2>>, g2 = <<|a|^4>> / n^2 from per-record <|a|^2>, <|a|^4>.
 
     Standard errors come from record-to-record scatter: directly for n,
     leave-one-out jackknife for the ratio estimator g2.
     """
-    n_rec = len(means)
+    n_rec = len(nr)
     _require_records(n_rec)
-    nr = np.asarray([m[0] for m in means])
-    qr = np.asarray([m[1] for m in means])
     n_hat = float(np.mean(nr))
     q_hat = float(np.mean(qr))
     if n_hat <= 0.0:
@@ -383,8 +388,8 @@ def _estimate_from_means(means) -> MomentEstimate:
 
 def estimate_moments(records) -> MomentEstimate:
     """n = <<|a|^2>>, g2 = <<|a|^4>> / n^2 over an ensemble of records."""
-    return _estimate_from_means([_record_means(np.abs(np.asarray(rec)) ** 2)
-                                 for rec in records])
+    means = [_record_means(np.abs(np.ravel(rec)) ** 2) for rec in records]
+    return _estimate_from_means(*np.reshape(means, (-1, 2)).T)
 
 
 def _cpu_count() -> int:
@@ -416,14 +421,14 @@ def run_monte_carlo(params: ModelParams, pops: Populations,
     Chunks of consecutive records are striped over the workers: worker w
     synthesizes chunks w, w + W, w + 2W, ... in its own buffers, the calling
     thread being worker 0. Every record is drawn from its own stream and
-    transformed row by row, and the per-chunk means are joined in record
-    order, so a seeded ensemble is bit-identical for any number of workers.
-    W is the CPU count of the process, capped so that the chunks in flight
-    hold at most one block of BLOCK_SAMPLES samples for records shorter
-    than a block, and one record per worker, at most MAX_RECORD_SAMPLES
-    samples together, otherwise. An error in any worker, or an interrupt
-    of the calling thread, stops the other workers before their next
-    chunk; the call raises it once they have stopped.
+    transformed row by row, and its <|a|^2> and <|a|^4> are written at its
+    record index, so a seeded ensemble is bit-identical for any number of
+    workers without a join. W is the CPU count of the process, capped so
+    that the chunks in flight hold at most one block of BLOCK_SAMPLES
+    samples for records shorter than a block, and one record per worker, at
+    most MAX_RECORD_SAMPLES samples together, otherwise. An error in any
+    worker, or an interrupt of the calling thread, stops the other workers
+    before their next chunk; the call raises it once they have stopped.
     """
     check_config(params, pops, config)
     _require_records(config.n_records)
@@ -432,22 +437,20 @@ def run_monte_carlo(params: ModelParams, pops: Populations,
         # load the AR(1) filter here, not in the first record of a worker thread
         importlib.import_module("scipy.signal")
     rows, workers = _stripes(config)
-    starts = range(0, config.n_records, rows)
-    chunks = [None] * len(starts)  # per-record means of each chunk
+    nr, qr = np.empty((2, config.n_records))  # <|a|^2>, <|a|^4> at each record's index
     failed = Event()  # set by a worker that raises, so the others stop early
 
     def work(w: int) -> None:
         try:
             block = ensemble.buffers(rows)  # reused, so a worker allocates its arrays once
-            for c in range(w, len(starts), workers):
+            for start in range(w * rows, config.n_records, workers * rows):
                 if failed.is_set():
                     return
-                start = starts[c]
                 stop = min(start + rows, config.n_records)
                 bufs = [None if b is None else b[:stop - start] for b in block]
                 for row, index in enumerate(range(start, stop)):
                     ensemble.draw(record_rng(config, index), row, bufs)
-                chunks[c] = [_record_means(i) for i in np.abs(ensemble.fields(bufs)) ** 2]
+                nr[start:stop], qr[start:stop] = _record_means(np.abs(ensemble.fields(bufs)) ** 2)
         except BaseException:
             failed.set()
             raise
@@ -458,4 +461,4 @@ def run_monte_carlo(params: ModelParams, pops: Populations,
         work(0)
         for helper in helpers:
             helper.result()
-    return _estimate_from_means([m for chunk in chunks for m in chunk])
+    return _estimate_from_means(nr, qr)

@@ -1,6 +1,7 @@
 """Stochastic records: synthesis fidelity, OU statistics, moment estimates."""
 
 import dataclasses
+import math
 import sys
 import threading
 import tracemalloc
@@ -35,6 +36,16 @@ def _flat_density(level=1.0):
     return lambda w: np.full(w.shape, level)
 
 
+def _traced_peak(fn):
+    """Peak bytes that tracemalloc sees while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestConfig:
     def test_power_of_two_required(self):
         with pytest.raises(InvalidParamsError):
@@ -45,6 +56,13 @@ class TestConfig:
         assert config.duration >= 50.0 / ex1_pops.gamma_p * (1.0 - 1e-12)
         assert np.pi / config.dt >= 10.0 * max(ex1.kappa, ex1.gamma_perp)
         assert ex1_pops.gamma_p * config.dt <= 0.1
+
+    def test_duration_must_be_finite(self):
+        # an infinite T gives dt = inf: a flat spectrum then synthesizes an
+        # all-zero series, and check_config misreports a Nyquist of 0
+        for duration in (math.inf, math.nan, 0.0):
+            with pytest.raises(InvalidParamsError, match="duration"):
+                MonteCarloConfig(duration=duration, n_samples=1024)
 
     def test_record_budget_rejects_long_records(self):
         MonteCarloConfig(duration=1.0, n_samples=MAX_RECORD_SAMPLES)
@@ -288,53 +306,47 @@ class TestFieldRecords:
         assert main_chunks == [4]
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("cpus", [2, 16, 32])
+    @pytest.mark.parametrize("cpus", [2, 16, 32, pytest.param(None, id="host")])
     def test_many_cpus_keep_one_block(self, ex1, ex1_pops, monkeypatch, cpus):
-        # the bound of test_ensemble_peak_memory_within_one_block, on hosts
-        # with more CPUs than a block holds 4096-sample records
-        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+        # an ensemble's traced peak stays within one record of a block, on
+        # this host and on hosts with more CPUs than a block holds
+        # 4096-sample records
+        if cpus is None:
+            cpus = montecarlo._cpu_count()
+        else:
+            monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
         config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=64, seed=1)
+        assert config.n_samples == 4096
         rows, workers = montecarlo._stripes(config)
         assert rows * workers * config.n_samples <= montecarlo.BLOCK_SAMPLES
         long = dataclasses.replace(config, duration=config.duration * 8, n_samples=2 ** 15)
-
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         # a first record loads scipy.signal, which the peaks must not count
         simulate_field_record(ex1, ex1_pops, config, record_rng(config, 0))
-        ensemble = peak(lambda: run_monte_carlo(ex1, ex1_pops, config))
-        record = peak(lambda: simulate_field_record(ex1, ex1_pops, long, record_rng(long, 0)))
+        ensemble = _traced_peak(lambda: run_monte_carlo(ex1, ex1_pops, config))
+        record = _traced_peak(
+            lambda: simulate_field_record(ex1, ex1_pops, long, record_rng(long, 0)))
         assert ensemble <= record
         # half-block records: two in flight; records of a block or more: one
         # per worker, MAX_RECORD_SAMPLES together
-        for n, workers in ((2 ** 14, 2), (2 ** 15, cpus), (MAX_RECORD_SAMPLES, 1)):
+        half = (1, 2) if cpus > 1 else (2, 1)
+        block = (1, min(cpus, MAX_RECORD_SAMPLES // 2 ** 15))
+        for n, stripes in ((2 ** 14, half), (2 ** 15, block), (MAX_RECORD_SAMPLES, (1, 1))):
             sized = dataclasses.replace(config, n_samples=n, n_records=500)
-            assert montecarlo._stripes(sized) == (1, workers)
+            assert montecarlo._stripes(sized) == stripes
 
-    def test_ensemble_peak_memory_within_one_block(self, ex1, ex1_pops):
-        config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=64, seed=1)
-        assert config.n_samples == 4096
-        long = dataclasses.replace(config, duration=config.duration * 8, n_samples=2 ** 15)
-
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
+    def test_ensemble_keeps_two_floats_per_record(self, ex1, ex1_pops, monkeypatch):
+        # one worker, so no two chunks' temporaries overlap and the peak is
+        # deterministic; 1000 more records may add their two float64 means,
+        # 16 bytes a record, but no per-record Python object (a tuple of two
+        # floats and its list slot take about 110)
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
+        small = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=64, seed=1)
+        large = dataclasses.replace(small, n_records=1064)
         # a first record loads scipy.signal, which the peaks must not count
-        simulate_field_record(ex1, ex1_pops, config, record_rng(config, 0))
-        ensemble = peak(lambda: run_monte_carlo(ex1, ex1_pops, config))
-        record = peak(lambda: simulate_field_record(ex1, ex1_pops, long, record_rng(long, 0)))
-        assert ensemble <= record
+        simulate_field_record(ex1, ex1_pops, small, record_rng(small, 0))
+        peaks = [_traced_peak(lambda: run_monte_carlo(ex1, ex1_pops, config))
+                 for config in (small, large)]
+        assert (peaks[1] - peaks[0]) / 1000 < 32.0
 
     def test_config_check_rejects_short_records(self, ex1, ex1_pops):
         bad = MonteCarloConfig(duration=64.0, n_samples=512, n_records=40)
