@@ -1,7 +1,8 @@
 """Command line front end.
 
 Model parameters come from flags, an optional key=value config file, or the
-defaults, with precedence flags > file > defaults. All rates are in units of
+defaults, with precedence flags > file > defaults. The defaults are the
+reference configuration ``srled.validation.EX1``. All rates are in units of
 gamma_perp; the cavity is specified by the ratio 2*kappa/gamma_perp.
 """
 
@@ -33,17 +34,10 @@ from .sweep import (
     parse_config,
     reproduce_figure,
     run_sweep,
+    set_params,
     write_rows,
 )
-from .validation import run_validation
-
-_PARAM_DEFAULTS = {
-    "kappa_ratio": 1.0,
-    "pump": 0.1,
-    "n_th": 5.0,
-    "gamma_par": 0.1,
-    "n_emitters": 20.0,
-}
+from .validation import EX1, run_validation
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -57,28 +51,22 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_params(args) -> ModelParams:
-    values = dict(_PARAM_DEFAULTS)
+    values = {}
     if args.config is not None:
-        file_vals = parse_config(args.config)
-        for key, val in file_vals.items():
-            norm = key.replace("-", "_")
-            if norm not in values:
+        for key, val in parse_config(args.config).items():
+            name = key.replace("-", "_")
+            if name not in SWEEPABLE:
                 raise ModelError(f"unknown config key {key!r}")
+            if name in values:
+                raise InvalidParamsError(f"config key {key!r} sets {name} a second time")
             try:
-                values[norm] = float(val)
+                values[name] = float(val)
             except ValueError:
                 raise InvalidParamsError(f"config key {key!r} needs a number, got {val!r}") from None
-    for key in values:
-        flag = getattr(args, key)
-        if flag is not None:
-            values[key] = flag
-    return ModelParams.from_ratio(
-        values["kappa_ratio"],
-        pump=values["pump"],
-        n_threshold=values["n_th"],
-        gamma_par=values["gamma_par"],
-        n_emitters=values["n_emitters"],
-    )
+    for name in SWEEPABLE:
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
+    return set_params(EX1, values)
 
 
 def _cmd_spectrum(args) -> int:
@@ -150,8 +138,10 @@ def _cmd_mc(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params = _resolve_params(args)
+    # fail before the rows are computed, not when they are written
+    if args.out.is_dir():
+        raise IsADirectoryError(f"--out is a directory: {args.out}")
     if not args.out.parent.is_dir():
-        # fail before the rows are computed, not when they are written
         raise FileNotFoundError(f"directory of --out does not exist: {args.out.parent}")
     spec = SweepSpec(
         base=params,

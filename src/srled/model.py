@@ -47,14 +47,14 @@ class ModelParams:
     def __post_init__(self):
         for name in ("kappa", "gamma_par", "gamma_perp", "n_threshold"):
             if not getattr(self, name) > 0.0 or not math.isfinite(getattr(self, name)):
-                raise InvalidParamsError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+                raise InvalidParamsError(f"{name} must be positive and finite, got {float(getattr(self, name))!r}")
         if not self.pump >= 0.0 or not math.isfinite(self.pump):
-            raise InvalidParamsError(f"pump must be >= 0, got {self.pump!r}")
+            raise InvalidParamsError(f"pump must be >= 0, got {float(self.pump)!r}")
         # -0.0 passes the check above; store it as +0.0, so that N_e and
         # everything printed from it carry no negative sign
         object.__setattr__(self, "pump", abs(self.pump))
         if not self.n_emitters >= 1.0 or not math.isfinite(self.n_emitters):
-            raise InvalidParamsError(f"n_emitters must be >= 1 and finite, got {self.n_emitters!r}")
+            raise InvalidParamsError(f"n_emitters must be >= 1 and finite, got {float(self.n_emitters)!r}")
         # the coupling of the population noise into the field
         coupling = self.kappa * self.gamma_perp / self.n_threshold
         if not coupling > 0.0 or not math.isfinite(coupling):

@@ -30,6 +30,18 @@ METHODS = ("closed", "quadrature", "cumulant", "montecarlo")
 _VALIDITY_WARN = 0.1
 
 
+def set_params(base: ModelParams, values: dict[str, float]) -> ModelParams:
+    """``base`` with the SWEEPABLE names in ``values`` set.
+
+    n_th sets n_threshold, kappa_ratio = 2 kappa / gamma_perp sets kappa, and
+    the other names set the field of the same name.
+    """
+    fields = {"n_threshold" if name == "n_th" else name: v for name, v in values.items()}
+    if "kappa_ratio" in fields:
+        fields["kappa"] = 0.5 * fields.pop("kappa_ratio") * base.gamma_perp
+    return dataclasses.replace(base, **fields)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One-variable sweep description."""
@@ -70,16 +82,7 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.steps)
 
     def params_at(self, value: float) -> ModelParams:
-        b = self.base
-        if self.variable == "kappa_ratio":
-            return dataclasses.replace(b, kappa=0.5 * value * b.gamma_perp)
-        if self.variable == "pump":
-            return dataclasses.replace(b, pump=value)
-        if self.variable == "n_th":
-            return dataclasses.replace(b, n_threshold=value)
-        if self.variable == "gamma_par":
-            return dataclasses.replace(b, gamma_par=value)
-        return dataclasses.replace(b, n_emitters=value)
+        return set_params(self.base, {self.variable: value})
 
 
 @dataclass
@@ -317,5 +320,8 @@ def parse_config(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise InvalidParamsError(f"bad config line {raw!r}")
         key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key = key.strip()
+        if key in out:
+            raise InvalidParamsError(f"config key {key!r} is set twice")
+        out[key] = val.strip()
     return out

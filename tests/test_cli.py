@@ -4,8 +4,10 @@ import re
 
 import numpy as np
 
-from srled.cli import main
+from srled import ModelParams
+from srled.cli import _resolve_params, build_parser, main
 from srled.sweep import read_rows
+from srled.validation import EX1
 
 from conftest import EX1_ORACLE
 
@@ -15,6 +17,19 @@ def test_mean_photon_defaults_are_reference_point(capsys):
     out = capsys.readouterr().out
     assert f"{EX1_ORACLE['n']:.8g}"[:8] in out
     assert "closed-form" in out
+
+
+def test_defaults_are_ex1():
+    assert _resolve_params(build_parser().parse_args(["g2"])) == EX1
+
+
+def test_mean_photon_quadrature_paths(capsys):
+    assert main(["mean-photon"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("[closed-form]")
+    assert lines[1].endswith("[quadrature-delta-approx]")
+    assert main(["mean-photon", "--mode", "exact"]) == 0
+    assert "n = 0.053147291  [quadrature-exact-convolution]" in capsys.readouterr().out
 
 
 def test_g2_both_paths(capsys):
@@ -36,6 +51,13 @@ def test_spectrum_csv(tmp_path, capsys):
     np.testing.assert_allclose(rows[:, 3], rows[::-1, 3], rtol=1e-12)
 
 
+def test_spectrum_without_out_writes_stdout(capsys):
+    assert main(["spectrum", "--grid-points", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "omega,commutator,population,photon"
+    assert len(lines) == 7 and lines[4].startswith("0.0,")
+
+
 def test_spectrum_grid_flags_apply_alone(tmp_path):
     # each grid flag takes effect without the other, which keeps its default
     out = tmp_path / "spec.csv"
@@ -50,9 +72,11 @@ def test_sweep_and_config_precedence(tmp_path):
     cfg.write_text("pump = 0.4\nn-emitters = 10\nn-th = 10\nkappa-ratio = 2\n")
     out = tmp_path / "rows.csv"
     # the flag overrides the config pump; config fills the rest
-    assert main(["sweep", "--var", "pump", "--start", "0.05", "--stop", "0.5",
-                 "--steps", "4", "--config", str(cfg), "--pump", "0.1",
-                 "--out", str(out)]) == 0
+    argv = ["sweep", "--var", "pump", "--start", "0.05", "--stop", "0.5",
+            "--steps", "4", "--config", str(cfg), "--pump", "0.1", "--out", str(out)]
+    assert _resolve_params(build_parser().parse_args(argv)) == ModelParams(
+        kappa=1.0, gamma_par=0.1, pump=0.1, n_threshold=10.0, n_emitters=10.0)
+    assert main(argv) == 0
     rows = read_rows(out)
     assert len(rows) == 4
     g2 = [r["g2_closed"] for r in rows]
@@ -62,12 +86,13 @@ def test_sweep_and_config_precedence(tmp_path):
 def test_sweep_missing_out_directory_fails_first(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr("srled.cli.run_sweep", lambda spec: calls.append(spec) or [])
-    out = tmp_path / "missing" / "rows.csv"
-    assert main(["sweep", "--var", "pump", "--start", "0.05", "--stop", "0.5",
-                 "--steps", "3", "--out", str(out)]) == 2
-    assert calls == []
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    # a missing directory, or a directory where the file should go
+    for out in (tmp_path / "missing" / "rows.csv", tmp_path):
+        assert main(["sweep", "--var", "pump", "--start", "0.05", "--stop", "0.5",
+                     "--steps", "3", "--out", str(out)]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_sweep_records_format(tmp_path):
@@ -114,6 +139,12 @@ def test_invalid_config_key(tmp_path, capsys):
     cfg.write_text("pump = abc\n")
     assert main(["g2", "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
+    # one parameter set twice, by one key or by two spellings of it
+    for text, key in (("pump = 0.2\npump = 0.4\n", "'pump'"), ("n-th = 7\nn_th = 9\n", "'n_th'")):
+        cfg.write_text(text)
+        assert main(["g2", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and key in err
     # a missing file is one error line, not a traceback
     assert main(["g2", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert capsys.readouterr().err.startswith("error:")

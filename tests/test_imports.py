@@ -1,9 +1,10 @@
 """Every module of the package and the tests reads each name it imports,
-and the package loads ``scipy.signal`` only for Monte Carlo.
+every definition of the package is read by the package or the tests, and
+the package loads ``scipy.signal`` only for Monte Carlo.
 
 ``srled/__init__.py`` imports names only to export them; test_exports.py
-covers it. ``from __future__`` imports switch on language features and
-bind nothing that is read.
+covers it, and an export alone does not count as a read. ``from __future__``
+imports switch on language features and bind nothing that is read.
 """
 
 import ast
@@ -15,10 +16,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    [p for p in (ROOT / "src" / "srled").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py"))
-)
+PACKAGE = sorted(p for p in (ROOT / "src" / "srled").glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE + list((ROOT / "tests").glob("*.py")))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -61,6 +60,34 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree).items()
               if name not in read]
     assert not unused, f"{path.name} imports names it never reads: {', '.join(unused)}"
+
+
+def _defined(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions, classes, assigned names and methods -> line;
+    dunder names are left out."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((n.id, node.lineno) for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            defined.update((f"{node.name}.{item.name}", item.lineno) for item in node.body
+                           if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return {name: line for name, line in defined.items()
+            if not name.split(".")[-1].startswith("__")}
+
+
+def test_no_unread_definitions():
+    trees = {path: ast.parse(path.read_text()) for path in MODULES}
+    read = set().union(*(_read(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+                         for tree in trees.values()))
+    unread = [f"{path.name}:{line} {name}" for path in PACKAGE
+              for name, line in _defined(trees[path]).items()
+              if name.split(".")[-1] not in read]
+    assert not unread, f"definitions nothing reads: {', '.join(unread)}"
 
 
 FOOTPRINT = """

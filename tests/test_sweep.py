@@ -1,12 +1,14 @@
 """Sweeps, flat files, figure datasets, and config parsing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from srled import ModelParams, reproduce_figure, run_sweep
 from srled.errors import InvalidParamsError
 from srled.montecarlo import _MIN_RECORDS
-from srled.sweep import SweepSpec, parse_config, read_rows, write_rows
+from srled.sweep import SWEEPABLE, SweepSpec, parse_config, read_rows, write_rows
 
 
 @pytest.fixture
@@ -42,6 +44,16 @@ class TestSweepSpec:
             with pytest.raises(InvalidParamsError):
                 SweepSpec(base=base, variable="pump", start=0.1, stop=0.2, steps=2,
                           methods=("montecarlo",), records=records, seed=seed)
+
+    @pytest.mark.parametrize("variable", SWEEPABLE)
+    def test_params_at_sets_one_field(self, base, variable):
+        spec = SweepSpec(base=base, variable=variable, start=1.0, stop=3.0, steps=2)
+        params = spec.params_at(3.0)
+        changed = {f.name: getattr(params, f.name) for f in dataclasses.fields(params)
+                   if getattr(params, f.name) != getattr(base, f.name)}
+        field = {"kappa_ratio": "kappa", "n_th": "n_threshold"}.get(variable, variable)
+        # kappa_ratio is 2 kappa / gamma_perp
+        assert changed == {field: 1.5 if variable == "kappa_ratio" else 3.0}
 
     def test_grid_scales(self, base):
         lin = SweepSpec(base=base, variable="pump", start=0.1, stop=1.0, steps=10)
@@ -100,6 +112,12 @@ class TestRunSweep:
         assert recs[0]["flags"] == "validity_ratio_above_0.1" and recs[0]["error"] == ""
         write_rows(rows, spec, tmp_path / "sweep.csv")
         assert all("error" not in rec for rec in read_rows(tmp_path / "sweep.csv"))
+
+    def test_records_print_plain_floats(self, base, tmp_path):
+        spec = SweepSpec(base=base, variable="n_emitters", start=0.5, stop=2.0, steps=2)
+        path = tmp_path / "sweep.jsonl"
+        write_rows(run_sweep(spec), spec, path, fmt="records")
+        assert read_rows(path)[0]["error"] == "n_emitters must be >= 1 and finite, got 0.5"
 
     def test_quadrature_column(self, base):
         spec = SweepSpec(base=base, variable="pump", start=0.05, stop=0.5, steps=3,
