@@ -28,6 +28,7 @@ from .model import (
 from .montecarlo import MonteCarloConfig, _stripes, run_monte_carlo
 from .photon import mean_photon_closed, mean_photon_quadrature, photon_number_spectrum
 from .sweep import (
+    FIGURES,
     METHODS,
     SWEEPABLE,
     SweepSpec,
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "records"), default="csv")
     p.set_defaults(func=_cmd_sweep)
 
-    for which in ("fig3", "fig4", "fig5"):
+    for which in FIGURES:
         p = sub.add_parser(f"reproduce-{which}",
                            help=f"emit the {which} dataset and plot script")
         p.add_argument("--n-emitters", type=float, required=True,

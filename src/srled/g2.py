@@ -33,11 +33,12 @@ from .model import (
     Populations,
     _check_below_threshold,
     commutator_spectrum,
+    fluctuation_coupling,
     loop_abs2,
     loop_denominator,
     widest_rate,
 )
-from .photon import fluctuation_coupling, mean_photon_closed, mean_photon_quadrature
+from .photon import mean_photon_closed, mean_photon_quadrature
 from .quadrature import (
     CUMULANT_NODES,
     IntegrationSpec,

@@ -55,8 +55,7 @@ class ModelParams:
         object.__setattr__(self, "pump", abs(self.pump))
         if not self.n_emitters >= 1.0 or not math.isfinite(self.n_emitters):
             raise InvalidParamsError(f"n_emitters must be >= 1 and finite, got {float(self.n_emitters)!r}")
-        # the coupling of the population noise into the field
-        coupling = self.kappa * self.gamma_perp / self.n_threshold
+        coupling = fluctuation_coupling(self)
         if not coupling > 0.0 or not math.isfinite(coupling):
             raise InvalidParamsError("kappa gamma_perp / n_threshold is not a positive finite number")
 
@@ -106,20 +105,26 @@ def derive_populations(params: ModelParams) -> Populations:
     p = params.pump
     n_e = p * params.n_emitters / (p + 1.0)
     n_g = params.n_emitters - n_e
-    inversion = n_e - n_g
-    if inversion >= params.n_threshold:
-        raise AboveThresholdError(
-            f"inversion {inversion:.6g} >= threshold {params.n_threshold:.6g}; "
-            "the linear below-threshold model does not apply"
-        )
-    return Populations(
+    pops = Populations(
         n_excited=n_e,
         n_ground=n_g,
-        inversion=inversion,
+        inversion=n_e - n_g,
         delta2_ne=n_e / (p + 1.0),
         gamma_p=params.gamma_par * (p + 1.0),
         diffusion=params.gamma_par * (p * n_g + n_e),
     )
+    _check_below_threshold(params, pops)
+    return pops
+
+
+def fluctuation_coupling(params: ModelParams) -> float:
+    """kappa gamma_perp / N_th, the coupling of the population noise into the field."""
+    return params.kappa * params.gamma_perp / params.n_threshold
+
+
+def zero_order_level(params: ModelParams, pops: Populations) -> float:
+    """(kappa gamma_perp^2 / 2 N_th) N_e, the zero-order numerator of n(omega)."""
+    return 0.5 * params.kappa * params.gamma_perp ** 2 * pops.n_excited / params.n_threshold
 
 
 def loop_coefficients(params: ModelParams, pops: Populations) -> tuple[float, float]:
@@ -135,7 +140,8 @@ def loop_coefficients(params: ModelParams, pops: Populations) -> tuple[float, fl
 def _check_below_threshold(params: ModelParams, pops: Populations) -> None:
     if pops.inversion >= params.n_threshold:
         raise AboveThresholdError(
-            f"inversion {pops.inversion:.6g} >= threshold {params.n_threshold:.6g}"
+            f"inversion {pops.inversion:.6g} >= threshold {params.n_threshold:.6g}; "
+            "the linear below-threshold model does not apply"
         )
 
 
@@ -179,7 +185,8 @@ def validity_ratio(params: ModelParams) -> float:
     """gamma_par / sqrt(kappa gamma_perp).
 
     The narrow-population-spectrum (delta) approximation behind the closed
-    forms holds when this is small; callers emit warnings above 0.1.
+    forms holds when this is small. Sweep rows above 0.1 carry the
+    ``validity_ratio_above_0.1`` flag; the CLI prints the ratio.
     """
     return params.gamma_par / math.sqrt(params.kappa * params.gamma_perp)
 

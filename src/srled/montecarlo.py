@@ -76,8 +76,10 @@ from .model import (
     ModelParams,
     Populations,
     commutator_spectrum,
+    fluctuation_coupling,
     loop_denominator,
     widest_rate,
+    zero_order_level,
 )
 
 _MIN_RECORDS = 30
@@ -251,13 +253,12 @@ class _Ensemble:
         self.s_vals = loop_denominator(params, pops, config.omegas())
         # zero-order drive: flat PSD chosen so the filtered record reproduces
         # the zero-order photon spectrum (kappa gamma_perp^2 / 2 N_th) N_e / |s|^2
-        drive_psd = 0.5 * params.kappa * params.gamma_perp ** 2 * pops.n_excited / params.n_threshold
-        self.drive_amp = np.sqrt(drive_psd / config.duration)
+        self.drive_amp = np.sqrt(zero_order_level(params, pops) / config.duration)
         self.c_amp = self.ou = None
         if pops.delta2_ne > 0.0:
             self.c_amp = _colored_amplitude(lambda w: commutator_spectrum(params, pops, w), config)
             self.ou = _ou_constants(pops, config)
-        self.coupling = params.kappa * params.gamma_perp / params.n_threshold
+        self.coupling = fluctuation_coupling(params)
 
     def buffers(self, rows: int):
         """Drive, colored-noise and innovation arrays for a block of rows."""

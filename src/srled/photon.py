@@ -30,7 +30,9 @@ from .model import (
     Populations,
     _check_below_threshold,
     commutator_spectrum,
+    fluctuation_coupling,
     loop_abs2,
+    zero_order_level,
 )
 from .quadrature import (
     EXACT_N_NODES,
@@ -56,11 +58,6 @@ class MeanPhotonResult:
     error: float = 0.0
 
 
-def fluctuation_coupling(params: ModelParams) -> float:
-    """kappa gamma_perp / N_th, the population-noise drive coefficient."""
-    return params.kappa * params.gamma_perp / params.n_threshold
-
-
 def dispersion_ratio(params: ModelParams, pops: Populations) -> float:
     """delta2_ne / N_e, evaluated as 1/(P+1) when N_e vanishes.
 
@@ -73,11 +70,6 @@ def dispersion_ratio(params: ModelParams, pops: Populations) -> float:
     return 1.0 / (params.pump + 1.0)
 
 
-def _zero_order_level(params: ModelParams, pops: Populations) -> float:
-    """(kappa gamma_perp^2 / 2 N_th) N_e, the zero-order numerator of n(omega)."""
-    return 0.5 * params.kappa * params.gamma_perp ** 2 * pops.n_excited / params.n_threshold
-
-
 def photon_number_spectrum(params: ModelParams, pops: Populations, omega):
     """n(omega) in the delta approximation; nonnegative and even.
 
@@ -86,7 +78,7 @@ def photon_number_spectrum(params: ModelParams, pops: Populations, omega):
     """
     _check_below_threshold(params, pops)
     s2 = loop_abs2(params, pops, omega)
-    out = _zero_order_level(params, pops) / s2
+    out = zero_order_level(params, pops) / s2
     if pops.delta2_ne > 0.0:
         coup = fluctuation_coupling(params)
         out = out + pops.delta2_ne * coup ** 2 * commutator_spectrum(params, pops, omega) / s2
@@ -106,7 +98,7 @@ def mean_photon_closed(params: ModelParams, pops: Populations) -> MeanPhotonResu
 
 
 def _zero_order_quadrature(params, pops):
-    zero_order = _zero_order_level(params, pops)
+    zero_order = zero_order_level(params, pops)
     val, err = integrate_1d(lambda w: zero_order / loop_abs2(params, pops, w))
     return val / (2.0 * np.pi), err / (2.0 * np.pi)
 

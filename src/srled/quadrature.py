@@ -51,8 +51,9 @@ class IntegrationSpec:
     """Tolerances and range for adaptive quadrature.
 
     half_width=None integrates over the whole real line; a finite value
-    integrates [-half_width, half_width] (the grid rule already guarantees
-    sub-1e-6 tail mass for the model's integrands).
+    integrates [-half_width, half_width], for integrands that live on a
+    finite range, such as an angle over [-pi/2, pi/2] after a tan
+    substitution. It truncates nothing for the caller.
     """
 
     rel_tol: float = 1e-10

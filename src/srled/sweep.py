@@ -5,8 +5,13 @@ the requested method columns per point. Rows never abort the sweep: model
 errors (for example crossing threshold mid-range) land in the row's flag
 column, and their messages in the ``error`` key of a JSON record. Output
 is CSV (a units comment line plus a header row) or line-delimited JSON
-records; identical spec and seed give byte-identical files, so no
-timestamps or environment data are written.
+records, both built from one record per row with the same keys in the
+same order; CSV leaves out ``error``. Identical spec and seed give
+byte-identical files, so no timestamps or environment data are written.
+
+The curves of the source paper's Figs. 3-5 are defined once, by
+``figure_series``; ``reproduce_figure``, the figure-shape acceptance
+criterion and the ``reproduce-fig*`` commands all take them from there.
 """
 
 from __future__ import annotations
@@ -152,36 +157,32 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 _UNITS_COMMENT = "# rates and frequencies in units of gamma_perp; n, delta_n, g2 dimensionless"
 
 
-def _format(x) -> str:
+def _cell(x) -> str:
     if x is None:
         return ""
-    return repr(float(x))
+    return x if isinstance(x, str) else repr(float(x))
 
 
 def write_rows(rows: list[SweepRow], spec: SweepSpec, path: Path, fmt: str = "csv") -> None:
-    """Write sweep rows as CSV or line-delimited JSON records."""
-    path = Path(path)
-    cols = _columns(spec.methods)
-    if fmt == "csv":
-        lines = [_UNITS_COMMENT,
-                 ",".join(["swept_var", "value"] + cols + ["validity_ratio", "flags"])]
-        for row in rows:
-            cells = [spec.variable, _format(row.value)]
-            cells += [_format(getattr(row, c)) for c in cols]
-            cells += [_format(row.validity_ratio), row.flags]
-            lines.append(",".join(cells))
-        path.write_text("\n".join(lines) + "\n")
-    elif fmt == "records":
-        with path.open("w") as fh:
-            for row in rows:
-                rec = {"swept_var": spec.variable, "value": row.value}
-                rec.update({c: getattr(row, c) for c in cols})
-                rec["validity_ratio"] = row.validity_ratio
-                rec["flags"] = row.flags
-                rec["error"] = row.error
-                fh.write(json.dumps(rec) + "\n")
-    else:
+    """Write sweep rows as CSV or line-delimited JSON records.
+
+    Both formats write one record per row, with the keys in file order:
+    swept_var, value, the method columns, validity_ratio, flags, error.
+    CSV leaves out error.
+    """
+    if fmt not in ("csv", "records"):
         raise InvalidParamsError(f"unknown format {fmt!r}")
+    keys = ["swept_var", "value", *_columns(spec.methods), "validity_ratio", "flags", "error"]
+    with Path(path).open("w") as fh:
+        if fmt == "csv":
+            fh.write(_UNITS_COMMENT + "\n" + ",".join(keys[:-1]) + "\n")
+        for row in rows:
+            rec = {k: spec.variable if k == "swept_var" else getattr(row, k) for k in keys}
+            if fmt == "csv":
+                del rec["error"]
+                fh.write(",".join(map(_cell, rec.values())) + "\n")
+            else:
+                fh.write(json.dumps(rec) + "\n")
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -214,8 +215,12 @@ def read_rows(path: Path) -> list[dict]:
 # Figure datasets
 # ---------------------------------------------------------------------------
 
-_FIG_PUMP = 0.1
-_FIG_GAMMA_PAR = 0.1
+# plot layout of each source figure: y column, x scale, x label, y label
+FIGURES = {
+    "fig3": ("delta_n", "log", "2*kappa/gamma_perp", "Delta_n"),
+    "fig4": ("g2_closed", "log", "2*kappa/gamma_perp", "g2"),
+    "fig5": ("g2_closed", "linear", "pump P", "g2"),
+}
 
 _PLOT_TEMPLATE = '''"""Plot {figure} from the emitted datasets (run: python {script})."""
 import csv
@@ -227,7 +232,7 @@ import matplotlib.pyplot as plt
 
 HERE = Path(__file__).parent
 SERIES = {series!r}
-XCOL, YCOL = {xcol!r}, {ycol!r}
+XCOL, YCOL = 'value', {ycol!r}
 
 fig, ax = plt.subplots(figsize=(6, 4))
 for fname, label in SERIES:
@@ -249,10 +254,11 @@ print("wrote", HERE / "{figure}.png")
 '''
 
 
-def reproduce_figure(which: str, n_emitters: float, out_dir: Path,
-                     steps: int = 50) -> list[Path]:
-    """Emit per-curve sweep datasets plus a plotting script.
+def figure_series(which: str, n_emitters: float,
+                  steps: int) -> list[tuple[str, str, SweepSpec]]:
+    """(file name, legend label, sweep) of each curve of a source figure.
 
+    All curves are at P = 0.1 and gamma_par = 0.1:
     fig3: Delta_n vs 2 kappa/gamma_perp for N_th in {15, 10, 5}
     fig4: g2 vs 2 kappa/gamma_perp for N_th in {15, 10, 5}
     fig5: g2 vs pump for (2 kappa/gamma_perp, N_th) in {6, 2, 0.2} x {5, 10}
@@ -260,50 +266,40 @@ def reproduce_figure(which: str, n_emitters: float, out_dir: Path,
     The emitter count never appears in the source figures, so it is an
     explicit input here.
     """
-    if which not in ("fig3", "fig4", "fig5"):
-        raise InvalidParamsError("figure must be fig3, fig4 or fig5")
+    if which not in FIGURES:
+        raise InvalidParamsError(f"figure must be one of {', '.join(FIGURES)}")
+    fixed = dict(gamma_par=0.1, pump=0.1, n_emitters=n_emitters)
+    if which == "fig5":
+        return [(f"fig5_ratio{ratio:g}_nth{n_th:g}.csv",
+                 f"2k/g = {ratio:g}, N_th = {n_th:g} ({'solid' if n_th == 5.0 else 'dashed'})",
+                 SweepSpec(base=ModelParams.from_ratio(ratio, n_threshold=n_th, **fixed),
+                           variable="pump", start=0.01, stop=1.0, steps=steps))
+                for ratio in (6.0, 2.0, 0.2) for n_th in (5.0, 10.0)]
+    return [(f"{which}_nth{n_th:g}.csv", f"N_th = {n_th:g}",
+             SweepSpec(base=ModelParams(kappa=0.5, n_threshold=n_th, **fixed),
+                       variable="kappa_ratio", start=0.1, stop=10.0, steps=steps, scale="log"))
+            for n_th in (15.0, 10.0, 5.0)]
+
+
+def reproduce_figure(which: str, n_emitters: float, out_dir: Path,
+                     steps: int = 50) -> list[Path]:
+    """Emit the sweep dataset of each curve of ``figure_series`` plus a plotting script.
+
+    Every curve is checked before ``out_dir`` is created, so bad inputs
+    leave no directory behind.
+    """
+    series = figure_series(which, n_emitters, steps)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    series: list[tuple[str, str]] = []
-
-    if which in ("fig3", "fig4"):
-        ycol = "delta_n" if which == "fig3" else "g2_closed"
-        for n_th in (15.0, 10.0, 5.0):
-            base_params = ModelParams(kappa=0.5, gamma_par=_FIG_GAMMA_PAR, pump=_FIG_PUMP,
-                                      n_threshold=n_th, n_emitters=n_emitters)
-            spec = SweepSpec(base=base_params, variable="kappa_ratio",
-                             start=0.1, stop=10.0, steps=steps, scale="log")
-            fname = f"{which}_nth{int(n_th)}.csv"
-            write_rows(run_sweep(spec), spec, out_dir / fname)
-            written.append(out_dir / fname)
-            series.append((fname, f"N_th = {int(n_th)}"))
-        xcol, xscale = "value", "log"
-        xlabel = "2*kappa/gamma_perp"
-        ylabel = "Delta_n" if which == "fig3" else "g2"
-    else:
-        ycol, xcol, xscale = "g2_closed", "value", "linear"
-        xlabel, ylabel = "pump P", "g2"
-        for ratio in (6.0, 2.0, 0.2):
-            for n_th in (5.0, 10.0):
-                base_params = ModelParams.from_ratio(ratio, gamma_par=_FIG_GAMMA_PAR,
-                                                     pump=_FIG_PUMP, n_threshold=n_th,
-                                                     n_emitters=n_emitters)
-                spec = SweepSpec(base=base_params, variable="pump",
-                                 start=0.01, stop=1.0, steps=steps)
-                style = "solid" if n_th == 5.0 else "dashed"
-                fname = f"fig5_ratio{ratio:g}_nth{int(n_th)}.csv"
-                write_rows(run_sweep(spec), spec, out_dir / fname)
-                written.append(out_dir / fname)
-                series.append((fname, f"2k/g = {ratio:g}, N_th = {int(n_th)} ({style})"))
-
+    for fname, _, spec in series:
+        write_rows(run_sweep(spec), spec, out_dir / fname)
+    ycol, xscale, xlabel, ylabel = FIGURES[which]
     script = out_dir / f"plot_{which}.py"
     script.write_text(_PLOT_TEMPLATE.format(
-        figure=which, script=script.name, series=series,
-        xcol=xcol, ycol=ycol, xscale=xscale, xlabel=xlabel, ylabel=ylabel,
+        figure=which, script=script.name, series=[(f, label) for f, label, _ in series],
+        ycol=ycol, xscale=xscale, xlabel=xlabel, ylabel=ylabel,
     ))
-    written.append(script)
-    return written
+    return [out_dir / fname for fname, _, _ in series] + [script]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .model import ModelParams, commutator_spectrum, derive_populations, validit
 from .montecarlo import MonteCarloConfig, run_monte_carlo
 from .photon import dispersion_ratio, mean_photon_closed, mean_photon_quadrature
 from .quadrature import IntegrationSpec, integrate_1d
-from .sweep import SweepSpec, run_sweep
+from .sweep import figure_series, run_sweep
 
 EX1 = ModelParams(kappa=0.5, gamma_par=0.1, pump=0.1, n_threshold=5.0, n_emitters=20.0)
 
@@ -243,32 +243,26 @@ def criterion_6_bounds_and_limits() -> CriterionResult:
 
 
 def criterion_7_figure_shapes() -> CriterionResult:
-    """Monotone shapes at P = 0.1, gamma_par = 0.1, N_0 = 30."""
+    """Monotone shapes of the fig3 and fig5 curves of srled.sweep.figure_series.
+
+    fig3 at N_0 = 30 on 40 points: Delta_n and g2 rise with 2 kappa/gamma_perp
+    for each N_th, and Delta_n falls with N_th at grid indices 0, 13, 26, 39.
+    The fig5 curve 2 kappa/gamma_perp = 2, N_th = 10 at N_0 = N_th on 60
+    points: g2 falls with pump (this only holds for small N_0/N_th).
+    """
     def check():
-        checks = {}
-        ratios = np.logspace(np.log10(0.1), 1.0, 40)
-        for n_th in (5.0, 10.0, 15.0):
-            base = ModelParams(kappa=0.5, gamma_par=0.1, pump=0.1,
-                               n_threshold=n_th, n_emitters=30.0)
-            spec = SweepSpec(base=base, variable="kappa_ratio",
-                             start=0.1, stop=10.0, steps=40, scale="log")
+        checks, dn = {}, {}
+        for _, _, spec in figure_series("fig3", 30.0, 40):
             rows = run_sweep(spec)
-            dn = np.array([r.delta_n for r in rows])
-            g2 = np.array([r.g2_closed for r in rows])
-            checks[f"dn_incr_nth{n_th:g}"] = bool(np.all(np.diff(dn) > 0))
-            checks[f"g2_incr_nth{n_th:g}"] = bool(np.all(np.diff(g2) > 0))
-        for ratio in ratios[::13]:
-            vals = []
-            for n_th in (5.0, 10.0, 15.0):
-                params = ModelParams.from_ratio(float(ratio), gamma_par=0.1, pump=0.1,
-                                                n_threshold=n_th, n_emitters=30.0)
-                vals.append(mean_photon_closed(params, derive_populations(params)).delta_n)
-            checks[f"nth_decr_at_r{ratio:.2g}"] = vals[0] > vals[1] > vals[2]
-        # pump sweep at N_0 = N_th (the decrease only holds for small N_0/N_th)
-        base = ModelParams.from_ratio(2.0, gamma_par=0.1, pump=0.1,
-                                      n_threshold=10.0, n_emitters=10.0)
-        spec = SweepSpec(base=base, variable="pump", start=0.01, stop=1.0, steps=60)
-        g2p = np.array([r.g2_closed for r in run_sweep(spec)])
+            n_th = spec.base.n_threshold
+            dn[n_th] = np.array([r.delta_n for r in rows])
+            checks[f"dn_incr_nth{n_th:g}"] = bool(np.all(np.diff(dn[n_th]) > 0))
+            checks[f"g2_incr_nth{n_th:g}"] = bool(np.all(np.diff([r.g2_closed for r in rows]) > 0))
+        for i in range(0, len(rows), 13):
+            checks[f"nth_decr_at_r{rows[i].value:.2g}"] = dn[5.0][i] > dn[10.0][i] > dn[15.0][i]
+        spec = next(spec for fname, _, spec in figure_series("fig5", 10.0, 60)
+                    if fname == "fig5_ratio2_nth10.csv")
+        g2p = [r.g2_closed for r in run_sweep(spec)]
         checks["g2_decreasing_in_pump"] = bool(np.all(np.diff(g2p) < 0))
         bad = [k for k, v in checks.items() if not v]
         return not bad, "all monotone" if not bad else f"failed: {bad}"

@@ -119,6 +119,13 @@ def test_reproduce_figure(tmp_path, capsys):
     assert len(list(tmp_path.glob("fig5_*.csv"))) == 6
 
 
+def test_reproduce_figure_bad_input_leaves_no_directory(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["reproduce-fig3", "--n-emitters", "0.5", "--out-dir", str(out_dir)]) == 2
+    assert "n_emitters must be >= 1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_validate_skip_montecarlo(capsys):
     # the analytic criteria run and pass without the stochastic one
     assert main(["validate", "--skip-montecarlo"]) == 0

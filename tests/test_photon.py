@@ -169,7 +169,7 @@ class TestMeanPhotonQuadrature:
     def test_exact_fluctuation_is_cumulant_kernel_diagonal(self, ex1, ex1_pops):
         # one Cauchy smoothing: exact n is the diagonal of the full kernel
         from srled.g2 import _kernel_matrix
-        from srled.photon import fluctuation_coupling
+        from srled.model import fluctuation_coupling
         from srled.quadrature import EXACT_N_NODES, commutator_rule
 
         n_outer, per_unit = EXACT_N_NODES

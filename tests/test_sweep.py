@@ -8,7 +8,14 @@ import pytest
 from srled import ModelParams, reproduce_figure, run_sweep
 from srled.errors import InvalidParamsError
 from srled.montecarlo import _MIN_RECORDS
-from srled.sweep import SWEEPABLE, SweepSpec, parse_config, read_rows, write_rows
+from srled.sweep import (
+    SWEEPABLE,
+    SweepRow,
+    SweepSpec,
+    parse_config,
+    read_rows,
+    write_rows,
+)
 
 
 @pytest.fixture
@@ -175,8 +182,46 @@ class TestFlatFiles:
         assert any(rec["n_closed"] is None and "AboveThreshold" in rec["flags"]
                    for rec in parsed)
 
+    def test_file_schema(self, base, tmp_path):
+        spec = SweepSpec(base=base, variable="pump", start=0.05, stop=0.5, steps=2,
+                         methods=("closed", "quadrature", "cumulant", "montecarlo"))
+        header = ["swept_var", "value", "n0", "delta_n", "n_closed", "g2_closed", "n_quad",
+                  "g2_cumulant", "g2_mc", "g2_mc_se", "validity_ratio", "flags"]
+        rows = [SweepRow(value=0.05, n0=0.1, flags="RecordTooLong", error="too long")]
+        write_rows(rows, spec, tmp_path / "s.csv")
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert lines[1] == ",".join(header)
+        assert lines[2] == "pump,0.05,0.1,,,,,,,,,RecordTooLong"
+        write_rows(rows, spec, tmp_path / "s.jsonl", fmt="records")
+        (rec,) = read_rows(tmp_path / "s.jsonl")
+        assert list(rec) == header + ["error"]
+        assert rec["error"] == "too long"
+
+    def test_empty_row_list(self, base, tmp_path):
+        spec = SweepSpec(base=base, variable="pump", start=0.05, stop=0.5, steps=2)
+        write_rows([], spec, tmp_path / "s.csv")
+        comment, header = (tmp_path / "s.csv").read_text().splitlines()
+        assert comment.startswith("# ")
+        assert header == "swept_var,value,n0,delta_n,n_closed,g2_closed,validity_ratio,flags"
+        write_rows([], spec, tmp_path / "s.jsonl", fmt="records")
+        assert (tmp_path / "s.jsonl").read_text() == ""
+
+    def test_unknown_format_writes_nothing(self, base, tmp_path):
+        spec = SweepSpec(base=base, variable="pump", start=0.05, stop=0.5, steps=2)
+        with pytest.raises(InvalidParamsError):
+            write_rows(run_sweep(spec), spec, tmp_path / "s.txt", fmt="tsv")
+        assert not (tmp_path / "s.txt").exists()
+
 
 class TestReproduceFigures:
+    @pytest.mark.parametrize("which,n_emitters,steps",
+                             [("fig6", 30.0, 10), ("fig3", 0.5, 10), ("fig5", 10.0, 1)])
+    def test_bad_input_creates_no_directory(self, tmp_path, which, n_emitters, steps):
+        out_dir = tmp_path / "out"
+        with pytest.raises(InvalidParamsError):
+            reproduce_figure(which, n_emitters=n_emitters, out_dir=out_dir, steps=steps)
+        assert not out_dir.exists()
+
     def test_fig4_bounds_and_ordering(self, tmp_path):
         paths = reproduce_figure("fig4", n_emitters=30.0, out_dir=tmp_path, steps=12)
         series = {}
