@@ -232,6 +232,18 @@ class FrequencyGrid:
         return cls(omega_max=GRID_SAFETY * widest_rate(params, pops), n_points=n_points)
 
 
+def slowest_rate(params: ModelParams, pops: Populations) -> float:
+    """x-, the smaller real part of the roots of s: x^2 - B x + A, x = i omega.
+
+    The roots are x+- = (B +- sqrt(B^2 - 4A))/2, complex with real part B/2
+    when B^2 < 4A. Near threshold A -> 0 and x- ~ A/B -> 0.
+    """
+    _check_below_threshold(params, pops)
+    a, b = loop_coefficients(params, pops)
+    disc = b * b - 4.0 * a
+    return 0.5 * b if disc <= 0.0 else 2.0 * a / (b + math.sqrt(disc))
+
+
 def widest_rate(params: ModelParams, pops: Populations) -> float:
     """max(kappa, gamma_perp, sqrt(kappa gamma_perp (1 + |N|/N_th)))."""
     return max(

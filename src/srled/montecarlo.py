@@ -1,36 +1,46 @@
 """Stochastic oracle: classical-noise records of the linear Langevin field.
 
-Each record synthesizes, on a power-of-two time grid,
+The field of a record is a = a_d + a_f, both filtered by 1/s(omega) on a
+power-of-two time grid:
 
-* the zero-order drive: white complex Gaussian whose filtered spectrum is
-  the zero-order photon spectrum,
-* the population-noise channel: a colored complex Gaussian b(t) with power
-  spectrum c(omega) (frequency-domain synthesis) times a real
+* a_d, the zero-order drive: white complex Gaussian whose filtered spectrum
+  is the zero-order photon spectrum,
+* a_f, the population-noise channel: a colored complex Gaussian b(t) with
+  power spectrum c(omega) (frequency-domain synthesis) times a real
   Ornstein-Uhlenbeck path delta_N(t) (exact AR(1) recursion, rate gamma_p,
   variance delta2_ne), multiplied in the time domain so the spectral
-  convolution is realized exactly on the discrete grid,
+  convolution is realized exactly on the discrete grid.
 
-then filters by 1/s(omega) and returns the complex field a(t). Moments of
-|a|^2 estimate n and g2; the classical Gaussian pairings reproduce the same
+a_d is a stationary circular Gaussian independent of a_f, and its variance
+on the record grid is exact: v_d = sum_m drive_amp^2 / |s_m|^2, the bins
+being independent. So a record draws a_f only, and the drive is integrated
+out of its moments (Rao-Blackwellisation):
+E[|a|^2 | a_f] = |a_f|^2 + v_d and E[|a|^4 | a_f] = |a_f|^4 + 4 v_d |a_f|^2
++ 2 v_d^2. Moments of these estimate n and g2 with less record scatter than
+a drawn drive gives; the classical Gaussian pairings reproduce the same
 second- and fourth-order combinatorics as the model's noise algebra, so the
-estimates must agree with the analytic pipeline.
+estimates must agree with the analytic pipeline. Without a population
+channel (no dispersion, or c has no positive sample on the grid) there is
+nothing to condition on: the drive is drawn and v_d = 0, so one reducer
+serves both cases.
 
 Per-record RNG streams are counter-based (Philox keyed by master seed and
 record index), so ensembles are bit-reproducible regardless of scheduling.
 
 Spectra enter as functions of omega. One private sampler evaluates a
 spectrum on the record bins, checks that every sample is finite and
-nonnegative, and turns it into the amplitude sqrt(S/T) of each bin; both
+nonnegative, and turns it into the amplitude sqrt(S/2T) of each bin; both
 ``synthesize_colored_noise`` and the ensemble's c(omega) go through it.
 
-An ensemble computes what its records share once: the loop filter s and
-the amplitude sqrt(c/T) on the record grid, the drive amplitude and the
-AR(1) constants. It then synthesizes records in chunks of consecutive
-records. Each row of a chunk is drawn from its own record stream (drive,
-colored noise, OU innovations, in that order), the whole chunk is
-transformed at once (FFTs and the AR(1) filter along the last axis,
-arithmetic in place), and each row is reduced to its <|a|^2> and <|a|^4>
-before the worker takes its next chunk. The chunks are striped over one
+An ensemble computes what its records share once: the loop filter's gain
+and the amplitude sqrt(c/2T) on the record grid, v_d and the AR(1)
+constants. It then synthesizes records in chunks of consecutive records.
+Each row of a chunk is drawn from its own record stream (colored noise,
+then OU innovations: three normals per sample; the drive alone, two per
+sample, without a population channel), the whole chunk is transformed at
+once (FFTs and the AR(1) filter along the last axis, arithmetic in place),
+and each row is reduced to its conditional <|a|^2> and <|a|^4> before the
+worker takes its next chunk. The chunks are striped over one
 worker per CPU the process may use: the calling thread and a thread pool,
 each worker with its own buffers. Each record's two means are written at
 its record index in two preallocated arrays, so the workers need no join
@@ -43,11 +53,14 @@ worker that fails stops the others before their next chunk. The
 one-record functions ``simulate_field_record``,
 ``synthesize_colored_noise`` and ``ou_population_path`` are the one-row
 case of the same draw and transform steps and run in the calling thread,
-so a record is bit-identical however it is produced.
+so a record is bit-identical however it is produced; ``simulate_field_record``
+returns it with its v_d, which ``estimate_moments`` takes as
+``drive_variance``.
 
 A record holds at most ``MAX_RECORD_SAMPLES`` samples; a longer one (small
-gamma_p needs records of about 50/gamma_p) is refused with
-``RecordTooLongError`` before anything is allocated.
+gamma_p, or the slow pole of 1/s near threshold, needs records of about
+50/gamma_p or 50/x-) is refused with ``RecordTooLongError`` before anything
+is allocated.
 
 ``scipy.signal`` (the AR(1) filter) is loaded with the first record, not
 with the module, so ``import srled`` and every path without Monte Carlo
@@ -78,6 +91,7 @@ from .model import (
     commutator_spectrum,
     fluctuation_coupling,
     loop_denominator,
+    slowest_rate,
     widest_rate,
     zero_order_level,
 )
@@ -85,8 +99,8 @@ from .model import (
 _MIN_RECORDS = 30
 # largest master seed; with the record index it keys a Philox stream
 _MAX_SEED = 2 ** 63
-# record resolution: T >= MIN_CYCLES / gamma_p, Nyquist >= NYQUIST_FACTOR
-# widest_rate, and gamma_p dt <= MAX_DECAY_STEP
+# record resolution: T >= MIN_CYCLES / min(gamma_p, slowest_rate), Nyquist >=
+# NYQUIST_FACTOR widest_rate, and gamma_p dt <= MAX_DECAY_STEP
 MIN_CYCLES = 50.0
 NYQUIST_FACTOR = 10.0
 MAX_DECAY_STEP = 0.1
@@ -141,18 +155,19 @@ class MonteCarloConfig:
                   n_records: int = 500, seed: int = 0) -> "MonteCarloConfig":
         """Pick dt and T from the model scales.
 
-        Nyquist >= NYQUIST_FACTOR * widest_rate and T >= MIN_CYCLES / gamma_p,
-        so the record resolves both the broad field spectrum and the narrow
-        population spectrum, and gamma_p dt <= MAX_DECAY_STEP for the AR(1)
-        population path. Raises RecordTooLongError when that takes more
-        than MAX_RECORD_SAMPLES.
+        Nyquist >= NYQUIST_FACTOR * widest_rate and
+        T >= MIN_CYCLES / min(gamma_p, slowest_rate), so the record resolves
+        the broad field spectrum, the narrow population spectrum and the
+        slow pole of 1/s near threshold, and gamma_p dt <= MAX_DECAY_STEP for
+        the AR(1) population path. Raises RecordTooLongError when that takes
+        more than MAX_RECORD_SAMPLES.
         """
         if pops.gamma_p <= 0.0:
             raise InvalidParamsError("gamma_p must be positive")
         # a hair under the decay cap, so gamma_p dt cannot round above it
         dt = min(np.pi / (NYQUIST_FACTOR * widest_rate(params, pops)),
                  MAX_DECAY_STEP * (1.0 - 1e-12) / pops.gamma_p)
-        n = 1 << max(1, math.ceil(math.log2(MIN_CYCLES / pops.gamma_p / dt)))
+        n = 1 << max(1, math.ceil(math.log2(_min_duration(params, pops) / dt)))
         return cls(duration=n * dt, n_samples=n, n_records=n_records, seed=seed)
 
 
@@ -162,12 +177,22 @@ def record_rng(config: MonteCarloConfig, record_index: int) -> np.random.Generat
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _min_duration(params: ModelParams, pops: Populations) -> float:
+    """MIN_CYCLES over the slower of gamma_p and the loop's slowest rate x-."""
+    slow = slowest_rate(params, pops)
+    if pops.gamma_p > 0.0:
+        slow = min(slow, pops.gamma_p)
+    return MIN_CYCLES / slow
+
+
 def check_config(params: ModelParams, pops: Populations, config: MonteCarloConfig) -> None:
     """Enforce the resolution invariants before simulating."""
-    if pops.gamma_p > 0.0 and config.duration < MIN_CYCLES / pops.gamma_p * (1.0 - 1e-9):
+    need = _min_duration(params, pops)
+    if config.duration < need * (1.0 - 1e-9):
         raise InvalidParamsError(
-            f"duration {config.duration:.3g} cannot resolve gamma_p={pops.gamma_p:.3g}; "
-            f"need at least {MIN_CYCLES / pops.gamma_p:.3g}"
+            f"duration {config.duration:.3g} cannot resolve gamma_p={pops.gamma_p:.3g} "
+            f"and the slowest loop rate {slowest_rate(params, pops):.3g}; "
+            f"need at least {need:.3g}"
         )
     nyquist = np.pi / config.dt
     if nyquist < NYQUIST_FACTOR * widest_rate(params, pops) * (1.0 - 1e-9):
@@ -188,7 +213,7 @@ def _draw_circular(rng: np.random.Generator, row: np.ndarray) -> None:
 # -- rows, along the last axis
 
 def _colored_amplitude(spectrum, config: MonteCarloConfig) -> np.ndarray | None:
-    """sqrt(S/T) in FFT bin order; None when S has no positive sample.
+    """sqrt(S/2T) in FFT bin order; None when S has no positive sample.
 
     S is sampled in sorted order, omega_m = -pi/dt + m 2 pi/T, then moved
     to FFT bin order. These are the bins of config.omegas(), but the two
@@ -207,12 +232,11 @@ def _colored_amplitude(spectrum, config: MonteCarloConfig) -> np.ndarray | None:
     vals = np.fft.ifftshift(vals)  # sorted -> fft bin order
     if not np.any(vals > 0.0):
         return None
-    return np.sqrt(vals / config.duration)
+    return np.sqrt(vals / (2.0 * config.duration))
 
 
 def _colored_series(xi: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """x(t_j) = sum_m amp_m xi_m exp(-i omega_m t_j) / sqrt(2), overwriting xi."""
-    xi /= _SQRT2
+    """x(t_j) = sum_m amp_m xi_m exp(-i omega_m t_j), overwriting xi."""
     xi *= amp
     return np.fft.fft(xi, axis=-1, out=xi)
 
@@ -246,49 +270,58 @@ def _ou_series(innov: np.ndarray, ou) -> np.ndarray:
 
 
 class _Ensemble:
-    """What every record of one (params, pops, config) shares, computed once."""
+    """What every record of one (params, pops, config) shares, computed once.
+
+    With a population channel (c_amp is not None) a record is its channel
+    field a_f alone: the zero-order drive a_d is independent of it and
+    circular Gaussian with the exact variance drive_var on the record grid,
+    so the reducer adds its moments instead of drawing it. Without one the
+    drive is the whole field; it is drawn, and drive_var is 0.
+    """
 
     def __init__(self, params: ModelParams, pops: Populations, config: MonteCarloConfig):
         self.n_samples = config.n_samples
-        self.s_vals = loop_denominator(params, pops, config.omegas())
+        s_vals = loop_denominator(params, pops, config.omegas())
         # zero-order drive: flat PSD chosen so the filtered record reproduces
         # the zero-order photon spectrum (kappa gamma_perp^2 / 2 N_th) N_e / |s|^2
-        self.drive_amp = np.sqrt(zero_order_level(params, pops) / config.duration)
+        drive_amp = np.sqrt(zero_order_level(params, pops) / config.duration)
         self.c_amp = self.ou = None
         if pops.delta2_ne > 0.0:
             self.c_amp = _colored_amplitude(lambda w: commutator_spectrum(params, pops, w), config)
             self.ou = _ou_constants(pops, config)
-        self.coupling = fluctuation_coupling(params)
+        if self.c_amp is None:
+            self.drive_var = 0.0
+            self.gain = drive_amp / _SQRT2 / s_vals
+        else:
+            # Var a_d(t) = sum_m drive_amp^2 / |s_m|^2: the bins are independent
+            self.drive_var = float(np.sum(drive_amp ** 2 / np.abs(s_vals) ** 2))
+            self.gain = fluctuation_coupling(params) / s_vals
 
     def buffers(self, rows: int):
-        """Drive, colored-noise and innovation arrays for a block of rows."""
+        """Field and innovation arrays for a block of rows; no innovations
+        without a population channel."""
         shape = (rows, self.n_samples)
-        if self.c_amp is None:
-            return np.empty(shape, dtype=complex), None, None
-        return np.empty(shape, dtype=complex), np.empty(shape, dtype=complex), np.empty(shape)
+        return np.empty(shape, dtype=complex), None if self.c_amp is None else np.empty(shape)
 
     def draw(self, rng: np.random.Generator, row: int, bufs) -> None:
-        """One record's variates into row `row` of the block buffers."""
-        drive, colored, innov = bufs
-        _draw_circular(rng, drive[row])
-        if colored is not None:
-            _draw_circular(rng, colored[row])
+        """One record's variates into row `row` of the block buffers: the
+        colored noise and the OU innovations, or the drive alone."""
+        noise, innov = bufs
+        _draw_circular(rng, noise[row])
+        if innov is not None:
             rng.standard_normal(out=innov[row])
 
     def fields(self, bufs) -> np.ndarray:
-        """Field records a(t) of the drawn rows; the buffers are overwritten."""
-        drive, colored, innov = bufs
-        drive /= _SQRT2
-        drive *= self.drive_amp
-        if colored is not None:
-            b = _colored_series(colored, self.c_amp)
+        """Records a_f(t) of the drawn rows, or a_d(t) without a population
+        channel; the buffers are overwritten."""
+        noise, innov = bufs
+        if innov is not None:
+            b = _colored_series(noise, self.c_amp)
             np.conjugate(b, out=b)
             b *= _ou_series(innov, self.ou)
-            mix = np.fft.ifft(b, axis=-1, out=b)
-            mix *= self.coupling
-            drive += mix
-        drive /= self.s_vals
-        return np.fft.fft(drive, axis=-1, out=drive)
+            noise = np.fft.ifft(b, axis=-1, out=b)
+        noise *= self.gain
+        return np.fft.fft(noise, axis=-1, out=noise)
 
 
 def synthesize_colored_noise(spectrum, config: MonteCarloConfig,
@@ -327,12 +360,19 @@ def ou_population_path(pops: Populations, config: MonteCarloConfig,
 
 def simulate_field_record(params: ModelParams, pops: Populations,
                           config: MonteCarloConfig,
-                          rng: np.random.Generator) -> np.ndarray:
-    """One complex field record a(t) of the linear below-threshold model."""
+                          rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """One record of the linear below-threshold model as (a, v).
+
+    The record's field is a(t) plus an independent stationary circular
+    Gaussian of variance v: a is the population channel a_f and v the
+    exact variance of the zero-order drive, or, when the model has no
+    population channel, a is the drawn drive and v = 0.
+    ``estimate_moments(fields, drive_variance=v)`` reduces such records.
+    """
     ensemble = _Ensemble(params, pops, config)
     bufs = ensemble.buffers(1)
     ensemble.draw(rng, 0, bufs)
-    return ensemble.fields(bufs)[0]
+    return ensemble.fields(bufs)[0], ensemble.drive_var
 
 
 @dataclass(frozen=True)
@@ -355,15 +395,18 @@ def _require_records(n_rec: int) -> None:
         raise TooFewRecordsError(f"need at least {_MIN_RECORDS} records, got {n_rec}")
 
 
-def _record_means(intensity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """<|a|^2> and <|a|^4> of each record along the last axis of its |a|^2.
+def _record_means(intensity: np.ndarray, drive_var: float) -> tuple[np.ndarray, np.ndarray]:
+    """<|a|^2> and <|a|^4> of each record along the last axis of its |a_f|^2.
 
+    The drive of variance v is integrated out: given a_f,
+    E|a|^2 = |a_f|^2 + v and E|a|^4 = |a_f|^4 + 4 v |a_f|^2 + 2 v^2.
     ``intensity`` is squared in place, so a block of records needs no
     temporary of its size.
     """
     n = np.mean(intensity, axis=-1)
     intensity *= intensity
-    return n, np.mean(intensity, axis=-1)
+    q = np.mean(intensity, axis=-1)
+    return n + drive_var, q + 4.0 * drive_var * n + 2.0 * drive_var * drive_var
 
 
 def _estimate_from_means(nr: np.ndarray, qr: np.ndarray) -> MomentEstimate:
@@ -387,9 +430,13 @@ def _estimate_from_means(nr: np.ndarray, qr: np.ndarray) -> MomentEstimate:
     return MomentEstimate(n=n_hat, g2=g2_hat, n_se=n_se, g2_se=g2_se, n_records=n_rec)
 
 
-def estimate_moments(records) -> MomentEstimate:
-    """n = <<|a|^2>>, g2 = <<|a|^4>> / n^2 over an ensemble of records."""
-    means = [_record_means(np.abs(np.ravel(rec)) ** 2) for rec in records]
+def estimate_moments(records, drive_variance: float = 0.0) -> MomentEstimate:
+    """n = <<|a|^2>>, g2 = <<|a|^4>> / n^2 over an ensemble of records.
+
+    Each record's field is the record plus an independent circular Gaussian
+    of variance ``drive_variance``, whose moments are added exactly.
+    """
+    means = [_record_means(np.abs(np.ravel(rec)) ** 2, drive_variance) for rec in records]
     return _estimate_from_means(*np.reshape(means, (-1, 2)).T)
 
 
@@ -422,7 +469,8 @@ def run_monte_carlo(params: ModelParams, pops: Populations,
     Chunks of consecutive records are striped over the workers: worker w
     synthesizes chunks w, w + W, w + 2W, ... in its own buffers, the calling
     thread being worker 0. Every record is drawn from its own stream and
-    transformed row by row, and its <|a|^2> and <|a|^4> are written at its
+    transformed row by row, and its <|a|^2> and <|a|^4>, the zero-order
+    drive integrated out, are written at its
     record index, so a seeded ensemble is bit-identical for any number of
     workers without a join. W is the CPU count of the process, capped so
     that the chunks in flight hold at most one block of BLOCK_SAMPLES
@@ -451,7 +499,8 @@ def run_monte_carlo(params: ModelParams, pops: Populations,
                 bufs = [None if b is None else b[:stop - start] for b in block]
                 for row, index in enumerate(range(start, stop)):
                     ensemble.draw(record_rng(config, index), row, bufs)
-                nr[start:stop], qr[start:stop] = _record_means(np.abs(ensemble.fields(bufs)) ** 2)
+                nr[start:stop], qr[start:stop] = _record_means(
+                    np.abs(ensemble.fields(bufs)) ** 2, ensemble.drive_var)
         except BaseException:
             failed.set()
             raise

@@ -22,7 +22,7 @@ from srled import (
     synthesize_colored_noise,
     validity_ratio,
 )
-from srled.model import loop_abs2
+from srled.model import loop_abs2, loop_coefficients, slowest_rate
 from srled.montecarlo import record_rng
 
 from conftest import EX1_ORACLE
@@ -116,6 +116,23 @@ class TestLoopDenominator:
         w = np.linspace(-7.0, 7.0, 101)
         direct = np.abs(loop_denominator(ex1, ex1_pops, w)) ** 2
         np.testing.assert_allclose(loop_abs2(ex1, ex1_pops, w), direct, rtol=1e-13)
+
+    @pytest.mark.parametrize("n_emitters", [5.0, 9.0, 9.9, 9.999])
+    def test_slowest_rate_is_the_slow_root(self, n_emitters):
+        # P = 3, N_th = 5: the inversion N_0/2 is 0.5 to 0.9999 N_th, and the
+        # roots of x^2 - B x + A are real
+        params = ModelParams(kappa=0.5, gamma_par=0.1, pump=3.0, n_threshold=5.0,
+                             n_emitters=n_emitters)
+        pops = derive_populations(params)
+        a, b = loop_coefficients(params, pops)
+        roots = np.roots([1.0, -b, a])
+        assert slowest_rate(params, pops) == pytest.approx(roots.real.min(), rel=1e-9)
+
+    def test_slowest_rate_of_complex_roots(self, ex1, ex1_pops):
+        # EX1: B^2 < 4A, both roots have real part B/2 = kappa/2 + gamma_perp/4
+        a, b = loop_coefficients(ex1, ex1_pops)
+        assert b * b < 4.0 * a
+        assert slowest_rate(ex1, ex1_pops) == 0.5 * b
 
 
 class TestCommutatorSpectrum:

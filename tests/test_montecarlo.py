@@ -13,6 +13,7 @@ import pytest
 from srled import (
     InvalidParamsError,
     ModelError,
+    ModelParams,
     MomentEstimate,
     MonteCarloConfig,
     RecordTooLongError,
@@ -26,10 +27,27 @@ from srled import (
     synthesize_colored_noise,
 )
 from srled import montecarlo
-from srled.model import commutator_spectrum
-from srled.montecarlo import MAX_DECAY_STEP, MAX_RECORD_SAMPLES, check_config, record_rng
+from srled.model import commutator_spectrum, slowest_rate
+from srled.montecarlo import (
+    MAX_DECAY_STEP,
+    MAX_RECORD_SAMPLES,
+    MIN_CYCLES,
+    check_config,
+    record_rng,
+)
 
 from conftest import EX1_ORACLE
+
+
+# Frozen seeded estimates, the zero-order drive integrated out: EX1 with 37
+# records of 4096 samples (seed 9), and gamma_par = 0.01 with 30 records of
+# 32768 samples (seed 3). Seeded ensembles must reproduce them bit for bit.
+GOLDEN_EX1 = MomentEstimate(
+    n=0.052573379075335394, g2=2.120475036707705, n_se=0.00031822822610242947,
+    g2_se=0.010632953152436047, n_records=37)
+GOLDEN_LONG = MomentEstimate(
+    n=0.0535432472771139, g2=2.1680706546568955, n_se=0.00029550307868510267,
+    g2_se=0.009179578864775688, n_records=30)
 
 
 def _flat_density(level=1.0):
@@ -74,6 +92,25 @@ class TestConfig:
         params = dataclasses.replace(ex1, gamma_par=1e-4)
         with pytest.raises(RecordTooLongError):
             MonteCarloConfig.for_model(params, derive_populations(params))
+
+    def test_record_resolves_the_slow_pole(self):
+        # 0.97 N_th (2 kappa/gamma_perp = 1, P = 3, N_0 = 9.7), gamma_par =
+        # 0.05: 1/s has a pole at x- ~ 0.0076, far slower than gamma_p = 0.2,
+        # and a record of 50/gamma_p biases n by about +3 SE
+        params = ModelParams(kappa=0.5, gamma_par=0.05, pump=3.0, n_threshold=5.0,
+                             n_emitters=9.7)
+        pops = derive_populations(params)
+        need = MIN_CYCLES / slowest_rate(params, pops)
+        assert need > 20.0 * MIN_CYCLES / pops.gamma_p
+        config = MonteCarloConfig.for_model(params, pops, n_records=30)
+        assert need <= config.duration < 2.0 * need
+        check_config(params, pops, config)
+        # the same dt, a sixteenth of the length: 50/gamma_p, but not 50/x-
+        short = dataclasses.replace(config, duration=config.duration / 16,
+                                    n_samples=config.n_samples // 16)
+        assert MIN_CYCLES / pops.gamma_p < short.duration < need
+        with pytest.raises(InvalidParamsError, match="slowest loop rate"):
+            run_monte_carlo(params, pops, short)
 
     def test_nyquist_guard_uses_widest_rate(self, ex1, ex1_pops):
         # Nyquist 12 resolves 10 max(kappa, gamma_perp) = 10 but not the
@@ -203,8 +240,8 @@ class TestFieldRecords:
         params = dataclasses.replace(ex1, pump=0.0)
         pops = derive_populations(params)  # N_e = 0 and delta2_ne = 0
         config = MonteCarloConfig.for_model(params, pops)
-        rec = simulate_field_record(params, pops, config, record_rng(config, 0))
-        assert np.all(rec == 0.0)
+        rec, drive_var = simulate_field_record(params, pops, config, record_rng(config, 0))
+        assert drive_var == 0.0 and np.all(rec == 0.0)
 
     def test_gaussian_limit_without_fluctuations(self, ex1, ex1_pops):
         frozen = ex1_pops.without_fluctuations()
@@ -229,27 +266,26 @@ class TestFieldRecords:
     def test_ensemble_matches_one_record_path(self, ex1, ex1_pops):
         # 33 records of 4096 samples: blocks of 8 rows and a 1-row last block
         config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=33, seed=21)
-        records = (simulate_field_record(ex1, ex1_pops, config, record_rng(config, i))
-                   for i in range(config.n_records))
-        assert run_monte_carlo(ex1, ex1_pops, config) == estimate_moments(records)
+        # the record path returns a_f and v_d, and the ensemble reduces a_f
+        # with v_d through the same conditional formulas
+        records, drive_vars = zip(*(
+            simulate_field_record(ex1, ex1_pops, config, record_rng(config, i))
+            for i in range(config.n_records)))
+        assert len(set(drive_vars)) == 1 and drive_vars[0] > 0.0
+        assert run_monte_carlo(ex1, ex1_pops, config) == estimate_moments(
+            records, drive_variance=drive_vars[0])
 
-    # Frozen outputs of the per-record loop that block synthesis replaced;
-    # seeded ensembles must reproduce them bit for bit.
     def test_golden_ex1_partial_block(self, ex1, ex1_pops):
         config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=37, seed=9)
         assert config.n_samples == 4096
-        assert run_monte_carlo(ex1, ex1_pops, config) == MomentEstimate(
-            n=0.053595462667502876, g2=2.1591545878105176, n_se=0.0005866513469295254,
-            g2_se=0.03718569905312106, n_records=37)
+        assert run_monte_carlo(ex1, ex1_pops, config) == GOLDEN_EX1
 
     def test_golden_long_records(self, ex1):
         params = dataclasses.replace(ex1, gamma_par=0.01)
         pops = derive_populations(params)
         config = MonteCarloConfig.for_model(params, pops, n_records=30, seed=3)
         assert config.n_samples == 32768
-        assert run_monte_carlo(params, pops, config) == MomentEstimate(
-            n=0.0536406637766617, g2=2.181550600349273, n_se=0.00035363554060655267,
-            g2_se=0.012936052597655713, n_records=30)
+        assert run_monte_carlo(params, pops, config) == GOLDEN_LONG
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_worker_count_keeps_golden_estimates(self, ex1, ex1_pops, monkeypatch, workers):
@@ -260,23 +296,19 @@ class TestFieldRecords:
         sys.setswitchinterval(1e-5)  # switch threads often, so a lost chunk would show
         try:
             config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=37, seed=9)
-            assert run_monte_carlo(ex1, ex1_pops, config) == MomentEstimate(
-                n=0.053595462667502876, g2=2.1591545878105176, n_se=0.0005866513469295254,
-                g2_se=0.03718569905312106, n_records=37)
+            assert run_monte_carlo(ex1, ex1_pops, config) == GOLDEN_EX1
             params = dataclasses.replace(ex1, gamma_par=0.01)
             pops = derive_populations(params)
             config = MonteCarloConfig.for_model(params, pops, n_records=30, seed=3)
             assert montecarlo._stripes(config) == (1, workers)
-            assert run_monte_carlo(params, pops, config) == MomentEstimate(
-                n=0.0536406637766617, g2=2.181550600349273, n_se=0.00035363554060655267,
-                g2_se=0.012936052597655713, n_records=30)
+            assert run_monte_carlo(params, pops, config) == GOLDEN_LONG
         finally:
             sys.setswitchinterval(interval)
 
     def test_worker_error_is_raised_and_threads_end(self, ex1, ex1_pops, monkeypatch):
         # two workers over 10 chunks: the helper thread fails on its first
-        # chunk, and the calling thread holds its first chunk until the
-        # failure is signalled, then takes no other
+        # chunk once the calling thread holds its own first chunk; that one
+        # is held until the failure is signalled, and no other is taken
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
         events = []
 
@@ -288,11 +320,16 @@ class TestFieldRecords:
         fields = montecarlo._Ensemble.fields
         failure = ModelError("helper chunk failed")
         main_chunks = []
+        main_in_fields = threading.Event()
 
         def failing_fields(self, bufs):
+            # the helper fails only once the calling thread holds its first
+            # chunk, so the two threads cannot race to the failure
             if threading.current_thread() is not threading.main_thread():
+                assert main_in_fields.wait(timeout=30.0)
                 raise failure
-            main_chunks.append(len(bufs[0]))
+            main_chunks.append(len(bufs[0]))  # rows of the field buffer
+            main_in_fields.set()
             assert events[0].wait(timeout=30.0)
             return fields(self, bufs)
 
@@ -352,6 +389,51 @@ class TestFieldRecords:
         bad = MonteCarloConfig(duration=64.0, n_samples=512, n_records=40)
         with pytest.raises(InvalidParamsError):
             run_monte_carlo(ex1, ex1_pops, bad)
+
+
+class TestConditionalDrive:
+    """The zero-order drive integrated out of each record, against drawn drives."""
+
+    @staticmethod
+    def _drives(params, pops, config, count):
+        # without fluctuations a record is the drawn drive a_d alone, with the
+        # amplitude and loop filter of the fluctuating model; seeded apart from
+        # the channel records, which share a record's first normals
+        frozen = pops.without_fluctuations()
+        config = dataclasses.replace(config, seed=config.seed + 1)
+        return [simulate_field_record(params, frozen, config, record_rng(config, i))[0]
+                for i in range(count)]
+
+    def test_drive_variance_matches_drawn_drives(self, ex1, ex1_pops):
+        config = MonteCarloConfig.for_model(ex1, ex1_pops, seed=4)
+        drive_var = simulate_field_record(ex1, ex1_pops, config, record_rng(config, 0))[1]
+        vals = np.array([np.mean(np.abs(a_d) ** 2)
+                         for a_d in self._drives(ex1, ex1_pops, config, 200)])
+        se = vals.std(ddof=1) / np.sqrt(len(vals))
+        assert abs(vals.mean() - drive_var) <= 3.0 * se
+        # the record band holds all but the far tails of n0 = 2/47
+        assert drive_var == pytest.approx(EX1_ORACLE["n0"], rel=1e-3)
+
+    def test_moments_given_the_channel(self, ex1, ex1_pops):
+        # one fixed a_f: <|a_f + a_d|^2> and <|a_f + a_d|^4> averaged over
+        # drawn drives against |a_f|^2 + v_d and |a_f|^4 + 4 v_d |a_f|^2 + 2 v_d^2
+        config = MonteCarloConfig.for_model(ex1, ex1_pops, seed=6)
+        a_f, drive_var = simulate_field_record(ex1, ex1_pops, config, record_rng(config, 0))
+        targets = montecarlo._record_means(np.abs(a_f) ** 2, drive_var)
+        intensity = np.array([np.abs(a_f + a_d) ** 2
+                              for a_d in self._drives(ex1, ex1_pops, config, 200)])
+        for moment, target in zip((intensity, intensity ** 2), targets):
+            vals = np.mean(moment, axis=-1)
+            se = vals.std(ddof=1) / np.sqrt(len(vals))
+            assert abs(vals.mean() - target) <= 3.0 * se
+
+    def test_zero_dispersion_draws_the_drive(self, ex1, ex1_pops):
+        frozen = ex1_pops.without_fluctuations()
+        config = MonteCarloConfig.for_model(ex1, frozen, n_records=30, seed=2)
+        record, drive_var = simulate_field_record(ex1, frozen, config, record_rng(config, 0))
+        assert drive_var == 0.0 and np.all(record != 0.0)
+        est = run_monte_carlo(ex1, frozen, config)
+        assert est.n_se > 0.0 and est.g2_se > 0.0
 
 
 class TestEstimateMoments:
