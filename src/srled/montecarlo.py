@@ -19,7 +19,10 @@ E[|a|^2 | a_f] = |a_f|^2 + v_d and E[|a|^4 | a_f] = |a_f|^4 + 4 v_d |a_f|^2
 + 2 v_d^2. Moments of these estimate n and g2 with less record scatter than
 a drawn drive gives; the classical Gaussian pairings reproduce the same
 second- and fourth-order combinatorics as the model's noise algebra, so the
-estimates must agree with the analytic pipeline. Without a population
+estimates must agree with the analytic pipeline. The scatter left is that
+of the population channel, which is skewed: over a hundred or so records
+of a slow population the standard errors run low when the estimates do,
+and the lower tail of z is heavier than Gaussian. Without a population
 channel (no dispersion, or c has no positive sample on the grid) there is
 nothing to condition on: the drive is drawn and v_d = 0, so one reducer
 serves both cases.
@@ -54,8 +57,7 @@ one-record functions ``simulate_field_record``,
 ``synthesize_colored_noise`` and ``ou_population_path`` are the one-row
 case of the same draw and transform steps and run in the calling thread,
 so a record is bit-identical however it is produced; ``simulate_field_record``
-returns it with its v_d, which ``estimate_moments`` takes as
-``drive_variance``.
+returns it with its v_d.
 
 A record holds at most ``MAX_RECORD_SAMPLES`` samples; a longer one (small
 gamma_p, or the slow pole of 1/s near threshold, needs records of about
@@ -367,7 +369,6 @@ def simulate_field_record(params: ModelParams, pops: Populations,
     Gaussian of variance v: a is the population channel a_f and v the
     exact variance of the zero-order drive, or, when the model has no
     population channel, a is the drawn drive and v = 0.
-    ``estimate_moments(fields, drive_variance=v)`` reduces such records.
     """
     ensemble = _Ensemble(params, pops, config)
     bufs = ensemble.buffers(1)
@@ -430,13 +431,9 @@ def _estimate_from_means(nr: np.ndarray, qr: np.ndarray) -> MomentEstimate:
     return MomentEstimate(n=n_hat, g2=g2_hat, n_se=n_se, g2_se=g2_se, n_records=n_rec)
 
 
-def estimate_moments(records, drive_variance: float = 0.0) -> MomentEstimate:
-    """n = <<|a|^2>>, g2 = <<|a|^4>> / n^2 over an ensemble of records.
-
-    Each record's field is the record plus an independent circular Gaussian
-    of variance ``drive_variance``, whose moments are added exactly.
-    """
-    means = [_record_means(np.abs(np.ravel(rec)) ** 2, drive_variance) for rec in records]
+def estimate_moments(records) -> MomentEstimate:
+    """n = <<|a|^2>>, g2 = <<|a|^4>> / n^2 over an ensemble of records."""
+    means = [_record_means(np.abs(np.ravel(rec)) ** 2, 0.0) for rec in records]
     return _estimate_from_means(*np.reshape(means, (-1, 2)).T)
 
 

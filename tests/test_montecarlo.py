@@ -266,14 +266,15 @@ class TestFieldRecords:
     def test_ensemble_matches_one_record_path(self, ex1, ex1_pops):
         # 33 records of 4096 samples: blocks of 8 rows and a 1-row last block
         config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=33, seed=21)
-        # the record path returns a_f and v_d, and the ensemble reduces a_f
-        # with v_d through the same conditional formulas
-        records, drive_vars = zip(*(
-            simulate_field_record(ex1, ex1_pops, config, record_rng(config, i))
-            for i in range(config.n_records)))
-        assert len(set(drive_vars)) == 1 and drive_vars[0] > 0.0
-        assert run_monte_carlo(ex1, ex1_pops, config) == estimate_moments(
-            records, drive_variance=drive_vars[0])
+        # the record path returns (a_f, v_d); reduce each pair through the
+        # ensemble's own conditional reducers
+        means = []
+        for i in range(config.n_records):
+            a_f, drive_var = simulate_field_record(ex1, ex1_pops, config, record_rng(config, i))
+            assert drive_var > 0.0
+            means.append(montecarlo._record_means(np.abs(a_f) ** 2, drive_var))
+        assert run_monte_carlo(ex1, ex1_pops, config) == montecarlo._estimate_from_means(
+            *np.transpose(means))
 
     def test_golden_ex1_partial_block(self, ex1, ex1_pops):
         config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=37, seed=9)
