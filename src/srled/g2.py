@@ -32,18 +32,13 @@ from .model import (
     ModelParams,
     Populations,
     _check_below_threshold,
-    commutator_spectrum,
     fluctuation_coupling,
-    loop_abs2,
     loop_denominator,
-    widest_rate,
 )
 from .photon import mean_photon_closed, mean_photon_quadrature
 from .quadrature import (
     CUMULANT_NODES,
-    IntegrationSpec,
     commutator_rule,
-    integrate_1d,
     refined,
     smoothed_inverse_filter,
 )
@@ -107,58 +102,6 @@ def noise_cumulant(params: ModelParams, pops: Populations,
         return 4.0 / (2.0 * np.pi) ** 2 * float(wc @ (np.abs(kmat) ** 2) @ wc)
 
     return refined(evaluate, CUMULANT_NODES)
-
-
-def mean_term_cancellation(params: ModelParams, pops: Populations) -> tuple[float, float]:
-    """Diagnostic for the cancellation between the cumulant's disconnected
-    part and the squared-mean subtraction.
-
-    Both equal [(2 pi)^-1 Int (c * pop)(w) / |s(w)|^2 dw] but are evaluated
-    here by different nesting orders: (a) nested adaptive quadrature that
-    smooths c with the Cauchy kernel first, then integrates against
-    |s|^-2; (b) the exact-convolution mean-photon path, which smooths the
-    inverse loop filter instead, on the tan-map grid and the log ring of
-    quadrature.smoothed_inverse_filter (the diagonal of the cumulant's
-    full kernel). The two sides share only the spectrum evaluators: (a)
-    uses no fixed rule and smooths the other factor, so it checks the
-    tensor rule rather than repeating it. Returns (side_a, side_b);
-    agreement confirms the disconnected terms drop out of g2 exactly.
-    """
-    _check_below_threshold(params, pops)
-    gamma = pops.gamma_p
-    c_peak = float(np.max(commutator_spectrum(
-        params, pops, np.linspace(0.0, 3.0 * widest_rate(params, pops), 301))))
-
-    def smoothed_c(w):
-        # E over Cauchy(gamma) of c(w - X), via the exact tan substitution;
-        # absolute tolerance tied to the spectrum's peak so the far tails
-        # (tiny values, roundoff-limited) cannot trip the convergence check
-        finite = IntegrationSpec(rel_tol=1e-10, abs_tol=1e-10 * c_peak,
-                                 half_width=0.5 * np.pi)
-        val, _ = integrate_1d(
-            lambda th: commutator_spectrum(params, pops, w - gamma * np.tan(th)), finite)
-        return val / np.pi
-
-    side_a, _ = integrate_1d(
-        lambda w: smoothed_c(w) / loop_abs2(params, pops, w),
-        IntegrationSpec(rel_tol=1e-8, abs_tol=1e-12))
-    side_a *= pops.delta2_ne / (2.0 * np.pi)
-    mp = mean_photon_quadrature(params, pops, mode="exact")
-    side_b = (mp.n_total - mp.n0) / fluctuation_coupling(params) ** 2
-    return side_a, side_b
-
-
-def cumulant_delta_product_form(params: ModelParams, pops: Populations) -> float:
-    """[2 delta2_ne (2 pi)^-1 Int c/|s|^2 d omega]^2, the delta-mode value.
-
-    Independent reference for the 2-D tensor quadrature in noise_cumulant;
-    the quadratic dependence on delta2_ne follows from the kernel being
-    linear in it.
-    """
-    val, _ = integrate_1d(
-        lambda w: commutator_spectrum(params, pops, w) / loop_abs2(params, pops, w)
-    )
-    return (2.0 * pops.delta2_ne * val / (2.0 * np.pi)) ** 2
 
 
 def g2_bruteforce(params: ModelParams, pops: Populations, mode: str = "delta") -> G2Result:

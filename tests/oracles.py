@@ -1,0 +1,133 @@
+"""Independent oracles of the library's numerical paths, in one place.
+
+An oracle must not share the code it checks: nothing here imports a name
+that srled.quadrature defines, directly or through srled, and no module of
+srled imports this one (tests/test_imports.py checks both). Adaptive
+integrals call scipy.integrate.quad directly, with their own tolerances
+and convergence check; the kernel oracle is exact residue calculus.
+
+* ``kernel_full_residues``: the full-mode cumulant kernel
+  g2._kernel_matrix(..., "full", ...) as a closed residue sum,
+* ``cumulant_delta_product_form``: the delta-mode noise_cumulant as the
+  square of a 1-D integral,
+* ``mean_term_cancellation``: the exact-convolution n of
+  mean_photon_quadrature against nested adaptive quadrature that smooths
+  the other factor.
+"""
+
+import warnings
+
+import numpy as np
+from scipy import integrate
+
+from srled.errors import NonConvergenceError
+from srled.model import (
+    _check_below_threshold,
+    commutator_spectrum,
+    fluctuation_coupling,
+    loop_abs2,
+    widest_rate,
+)
+from srled.photon import mean_photon_quadrature
+
+# QUADPACK subdivision budget of each adaptive integral here
+QUAD_LIMIT = 200
+
+
+def _quad(func, lo, hi, rel_tol, abs_tol):
+    """QUADPACK integral over [lo, hi]; NonConvergenceError when the reported
+    error stays 50x above the requested tolerance."""
+    with warnings.catch_warnings():
+        # judge by the reported error, not by QUADPACK's warning
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, err = integrate.quad(func, lo, hi, epsabs=abs_tol, epsrel=rel_tol,
+                                  limit=QUAD_LIMIT)
+    if err > max(abs_tol, rel_tol * abs(val)) * 50.0:
+        raise NonConvergenceError(
+            f"reported error {err:.3g} exceeds tolerance for value {val:.6g}"
+        )
+    return val
+
+
+def _loop_roots_conj(params, pops):
+    """Upper-half-plane zeros of the analytic continuation of s*(omega)."""
+    a = 0.5 * params.kappa * params.gamma_perp * (1.0 - pops.inversion / params.n_threshold)
+    b = params.kappa + 0.5 * params.gamma_perp
+    sq = np.sqrt(complex(4.0 * a - b * b))
+    return (1j * b + sq) / 2.0, (1j * b - sq) / 2.0, b
+
+
+def kernel_full_residues(params, pops, omega_a, omega_b):
+    """Residue-calculus oracle for the full-mode cumulant kernel.
+
+    Closing the Cauchy average in the upper half plane picks up the kernel
+    pole at i gamma_p plus the two zeros of the continued s*(omega + a);
+    exact for this rational integrand, fully independent of quadrature.
+    """
+    gamma = pops.gamma_p
+    z1, z2, b = _loop_roots_conj(params, pops)
+
+    def s_of(z):
+        return (1j * z - params.kappa) * (1j * z - 0.5 * params.gamma_perp) \
+            - 0.5 * params.kappa * params.gamma_perp * pops.inversion / params.n_threshold
+
+    def sbar_of(z):
+        return (-1j * z - params.kappa) * (-1j * z - 0.5 * params.gamma_perp) \
+            - 0.5 * params.kappa * params.gamma_perp * pops.inversion / params.n_threshold
+
+    val = 1.0 / (s_of(1j * gamma + omega_b) * sbar_of(1j * gamma + omega_a))
+    for zk in (z1, z2):
+        dsbar = -2.0 * zk + 1j * b
+        wk = zk - omega_a
+        kern = (gamma / np.pi) / (wk * wk + gamma * gamma)
+        val += 2j * np.pi * kern / (s_of(wk + omega_b) * dsbar)
+    return pops.delta2_ne * val
+
+
+def cumulant_delta_product_form(params, pops) -> float:
+    """[2 delta2_ne (2 pi)^-1 Int c/|s|^2 d omega]^2, the delta-mode value.
+
+    Independent reference for the 2-D tensor quadrature in noise_cumulant;
+    the quadratic dependence on delta2_ne follows from the kernel being
+    linear in it.
+    """
+    val = _quad(lambda w: commutator_spectrum(params, pops, w) / loop_abs2(params, pops, w),
+                -np.inf, np.inf, rel_tol=1e-10, abs_tol=1e-13)
+    return (2.0 * pops.delta2_ne * val / (2.0 * np.pi)) ** 2
+
+
+def mean_term_cancellation(params, pops) -> tuple[float, float]:
+    """Diagnostic for the cancellation between the cumulant's disconnected
+    part and the squared-mean subtraction.
+
+    Both equal [(2 pi)^-1 Int (c * pop)(w) / |s(w)|^2 dw] but are evaluated
+    here by different nesting orders: (a) nested adaptive quadrature that
+    smooths c with the Cauchy kernel first, then integrates against
+    |s|^-2; (b) the exact-convolution mean-photon path, which smooths the
+    inverse loop filter instead, on the tan-map grid and the log ring of
+    quadrature.smoothed_inverse_filter (the diagonal of the cumulant's
+    full kernel). The two sides share only the spectrum evaluators: (a)
+    uses no fixed rule and smooths the other factor, so it checks the
+    tensor rule rather than repeating it. Returns (side_a, side_b);
+    agreement confirms the disconnected terms drop out of g2 exactly.
+    """
+    _check_below_threshold(params, pops)
+    gamma = pops.gamma_p
+    c_peak = float(np.max(commutator_spectrum(
+        params, pops, np.linspace(0.0, 3.0 * widest_rate(params, pops), 301))))
+
+    def smoothed_c(w):
+        # E over Cauchy(gamma) of c(w - X), via the exact tan substitution on
+        # [-pi/2, pi/2]; absolute tolerance tied to the spectrum's peak so the
+        # far tails (tiny values, roundoff-limited) cannot trip the
+        # convergence check
+        val = _quad(lambda th: commutator_spectrum(params, pops, w - gamma * np.tan(th)),
+                    -0.5 * np.pi, 0.5 * np.pi, rel_tol=1e-10, abs_tol=1e-10 * c_peak)
+        return val / np.pi
+
+    side_a = _quad(lambda w: smoothed_c(w) / loop_abs2(params, pops, w),
+                   -np.inf, np.inf, rel_tol=1e-8, abs_tol=1e-12)
+    side_a *= pops.delta2_ne / (2.0 * np.pi)
+    mp = mean_photon_quadrature(params, pops, mode="exact")
+    side_b = (mp.n_total - mp.n0) / fluctuation_coupling(params) ** 2
+    return side_a, side_b

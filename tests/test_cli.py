@@ -6,6 +6,7 @@ import numpy as np
 
 from srled import ModelParams
 from srled.cli import _resolve_params, build_parser, main
+from srled.model import MAX_GRID_POINTS
 from srled.sweep import read_rows
 from srled.validation import EX1
 
@@ -65,6 +66,14 @@ def test_spectrum_grid_flags_apply_alone(tmp_path):
     omega = [float(line.split(",")[0]) for line in out.read_text().splitlines()[2:]]
     assert len(omega) == 8193
     assert omega[0] == -3.0 and omega[-1] == 3.0
+
+
+def test_spectrum_refuses_grid_over_budget(tmp_path, capsys):
+    out = tmp_path / "spec.csv"
+    argv = ["spectrum", "--grid-points", str(MAX_GRID_POINTS + 2), "--out", str(out)]
+    assert main(argv) == 2
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_and_config_precedence(tmp_path):

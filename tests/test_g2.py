@@ -22,19 +22,15 @@ from srled.g2 import (
     METHOD_DELTA,
     METHOD_FULL,
     _kernel_matrix,
-    cumulant_delta_product_form,
 )
 from srled.quadrature import CUMULANT_NODES
 
 from conftest import EX1_ORACLE
-
-
-def _loop_roots_conj(params, pops):
-    """Upper-half-plane zeros of the analytic continuation of s*(omega)."""
-    a = 0.5 * params.kappa * params.gamma_perp * (1.0 - pops.inversion / params.n_threshold)
-    b = params.kappa + 0.5 * params.gamma_perp
-    sq = np.sqrt(complex(4.0 * a - b * b))
-    return (1j * b + sq) / 2.0, (1j * b - sq) / 2.0, b
+from oracles import (
+    cumulant_delta_product_form,
+    kernel_full_residues,
+    mean_term_cancellation,
+)
 
 
 def kernel(params, pops, omega_a, omega_b, mode):
@@ -43,33 +39,6 @@ def kernel(params, pops, omega_a, omega_b, mode):
     kmat = _kernel_matrix(params, pops, np.array([omega_a, omega_b]), mode,
                           CUMULANT_NODES[1])
     return complex(kmat[0, 1])
-
-
-def kernel_full_residues(params, pops, omega_a, omega_b):
-    """Residue-calculus oracle for the full-mode cumulant kernel.
-
-    Closing the Cauchy average in the upper half plane picks up the kernel
-    pole at i gamma_p plus the two zeros of the continued s*(omega + a);
-    exact for this rational integrand, fully independent of quadrature.
-    """
-    gamma = pops.gamma_p
-    z1, z2, b = _loop_roots_conj(params, pops)
-
-    def s_of(z):
-        return (1j * z - params.kappa) * (1j * z - 0.5 * params.gamma_perp) \
-            - 0.5 * params.kappa * params.gamma_perp * pops.inversion / params.n_threshold
-
-    def sbar_of(z):
-        return (-1j * z - params.kappa) * (-1j * z - 0.5 * params.gamma_perp) \
-            - 0.5 * params.kappa * params.gamma_perp * pops.inversion / params.n_threshold
-
-    val = 1.0 / (s_of(1j * gamma + omega_b) * sbar_of(1j * gamma + omega_a))
-    for zk in (z1, z2):
-        dsbar = -2.0 * zk + 1j * b
-        wk = zk - omega_a
-        kern = (gamma / np.pi) / (wk * wk + gamma * gamma)
-        val += 2j * np.pi * kern / (s_of(wk + omega_b) * dsbar)
-    return pops.delta2_ne * val
 
 
 class TestG2Closed:
@@ -169,8 +138,6 @@ class TestNoiseCumulant:
 
 class TestCancellationDiagnostic:
     def test_disconnected_terms_cancel(self, ex1, ex1_pops):
-        from srled.g2 import mean_term_cancellation
-
         side_a, side_b = mean_term_cancellation(ex1, ex1_pops)
         assert side_a == pytest.approx(side_b, rel=1e-6)
 

@@ -1,6 +1,7 @@
 """Every module of the package and the tests reads each name it imports,
-every definition of the package is read by the package or the tests, and
-the package loads ``scipy.signal`` only for Monte Carlo.
+every definition of the package is read by the package or the tests, the
+package loads ``scipy.signal`` only for Monte Carlo, and the oracles of
+``tests/oracles.py`` share no code with what they check.
 
 ``srled/__init__.py`` imports names only to export them; test_exports.py
 covers it, and an export alone does not count as a read. ``from __future__``
@@ -88,6 +89,53 @@ def test_no_unread_definitions():
               for name, line in _defined(trees[path]).items()
               if name.split(".")[-1] not in read]
     assert not unread, f"definitions nothing reads: {', '.join(unread)}"
+
+
+ORACLES = ROOT / "tests" / "oracles.py"
+QUADRATURE = ROOT / "src" / "srled" / "quadrature.py"
+
+
+def _import_targets(node: ast.AST) -> list[str]:
+    """Dotted modules and names an import statement loads; [] for other nodes."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return [module] + [f"{module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_package_does_not_import_oracles():
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in PACKAGE + [ROOT / "src" / "srled" / "__init__.py"]
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if any("oracles" in target.split(".") for target in _import_targets(node))]
+    assert not offenders, f"srled imports the test oracles: {', '.join(offenders)}"
+
+
+def test_oracles_import_nothing_quadrature_defines():
+    # an oracle must not share the code it checks: no name that
+    # srled.quadrature defines, whether imported from it, re-exported by
+    # another srled module, or read as an attribute of a name an srled
+    # import binds (a module such as srled.g2)
+    shared = {"quadrature"} | {name for name in _defined(ast.parse(QUADRATURE.read_text()))
+                               if "." not in name}
+    tree = ast.parse(ORACLES.read_text())
+    srled_names = set()
+    offenders = []
+    for node in ast.walk(tree):
+        targets = [t for t in _import_targets(node) if t.split(".")[0] == "srled"]
+        offenders += [f"{t} (line {node.lineno})" for t in targets
+                      if shared & set(t.split("."))]
+        if isinstance(node, ast.Import):
+            srled_names |= {alias.asname or alias.name.split(".")[0]
+                              for alias in node.names if alias.name.split(".")[0] == "srled"}
+        elif isinstance(node, ast.ImportFrom) and targets:
+            srled_names |= {alias.asname or alias.name for alias in node.names}
+    offenders += [f"{node.value.id}.{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in srled_names and node.attr in shared]
+    assert not offenders, f"oracles.py reads srled.quadrature: {', '.join(offenders)}"
 
 
 FOOTPRINT = """

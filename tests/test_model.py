@@ -22,7 +22,7 @@ from srled import (
     synthesize_colored_noise,
     validity_ratio,
 )
-from srled.model import loop_abs2, loop_coefficients, slowest_rate
+from srled.model import MAX_GRID_POINTS, loop_abs2, loop_coefficients, slowest_rate
 from srled.montecarlo import record_rng
 
 from conftest import EX1_ORACLE
@@ -223,13 +223,19 @@ class TestGrids:
         w = grid.omegas()
         assert len(w) == 101
         assert w[0] == -w[-1]
-        assert np.allclose(np.diff(w), grid.spacing)
+        assert np.allclose(np.diff(w), 2.0 * grid.omega_max / (grid.n_points - 1))
 
     def test_symmetric_grid_needs_odd_count(self):
         with pytest.raises(InvalidParamsError):
             FrequencyGrid(omega_max=10.0, n_points=100)
         with pytest.raises(InvalidParamsError):
             FrequencyGrid(omega_max=np.inf, n_points=5)
+
+    def test_point_count_budget(self):
+        # refused before any array is allocated; the budget itself is accepted
+        assert FrequencyGrid(omega_max=1.0, n_points=MAX_GRID_POINTS).n_points == MAX_GRID_POINTS
+        with pytest.raises(InvalidParamsError, match="budget"):
+            FrequencyGrid(omega_max=1.0, n_points=MAX_GRID_POINTS + 2)
 
     def test_density_validation(self, ex1, ex1_pops):
         config = MonteCarloConfig.for_model(ex1, ex1_pops)
