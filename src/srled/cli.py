@@ -9,6 +9,7 @@ gamma_perp; the cavity is specified by the ratio 2*kappa/gamma_perp.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import sys
 import time
@@ -32,7 +33,6 @@ from .sweep import (
     METHODS,
     SWEEPABLE,
     SweepSpec,
-    parse_config,
     reproduce_figure,
     run_sweep,
     set_params,
@@ -54,7 +54,14 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 def _resolve_params(args) -> ModelParams:
     values = {}
     if args.config is not None:
-        for key, val in parse_config(args.config).items():
+        # plain key=value lines; '#' starts a comment
+        for raw in args.config.read_text().splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise InvalidParamsError(f"bad config line {raw!r}")
+            key, val = (part.strip() for part in line.split("=", 1))
             name = key.replace("-", "_")
             if name not in SWEEPABLE:
                 raise ModelError(f"unknown config key {key!r}")
@@ -78,14 +85,14 @@ def _cmd_spectrum(args) -> int:
     else:
         grid = FrequencyGrid.for_model(params, pops, n_points=args.grid_points)
     w = grid.omegas()
-    lines = ["# omega in units of gamma_perp",
-             "omega,commutator,population,photon"]
-    c = commutator_spectrum(params, pops, w)
-    pop = population_spectrum(pops, w)
-    phot = photon_number_spectrum(params, pops, w)
-    for i in range(grid.n_points):
-        lines.append(",".join(repr(float(v)) for v in (w[i], c[i], pop[i], phot[i])))
-    _emit(args.out, "\n".join(lines) + "\n")
+    # every column is computed before --out is opened, so an error leaves no file
+    columns = (w, commutator_spectrum(params, pops, w), population_spectrum(pops, w),
+               photon_number_spectrum(params, pops, w))
+    out = open(args.out, "w") if args.out is not None else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        fh.write("# omega in units of gamma_perp\nomega,commutator,population,photon\n")
+        for row in zip(*columns):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
     return 0
 
 
@@ -173,13 +180,6 @@ def _cmd_validate(args) -> int:
         failed += not res.passed
     print(f"{len(results) - failed}/{len(results)} criteria passed")
     return 1 if failed else 0
-
-
-def _emit(out: Path | None, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

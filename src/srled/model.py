@@ -1,8 +1,8 @@
 """Physical parameters, steady-state populations, and the two basic spectra.
 
-Everything is expressed in units of the polarisation decay rate gamma_perp
-(gamma_perp = 1 internally unless the caller rescales). The model describes a
-single-mode two-level LED below threshold:
+Everything is expressed in units of the polarisation decay rate gamma_perp,
+so gamma_perp = 1 is the unit of every rate and not a parameter. The model
+describes a single-mode two-level LED below threshold:
 
 * ``loop_denominator`` s(omega) = (i omega - kappa)(i omega - gamma_perp/2)
   - (kappa gamma_perp / 2) N / N_th, the linear-response denominator whose
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,7 +35,6 @@ class ModelParams:
     pump         dimensionless pumping rate P >= 0
     n_threshold  threshold inversion N_th > 0
     n_emitters   total emitter count N_0 >= 1
-    gamma_perp   polarisation decay rate, the unit (default 1)
     """
 
     kappa: float
@@ -42,10 +42,11 @@ class ModelParams:
     pump: float
     n_threshold: float
     n_emitters: float
-    gamma_perp: float = 1.0
+    # the polarisation decay rate, the unit of every rate; not a field
+    gamma_perp: ClassVar[float] = 1.0
 
     def __post_init__(self):
-        for name in ("kappa", "gamma_par", "gamma_perp", "n_threshold"):
+        for name in ("kappa", "gamma_par", "n_threshold"):
             if not getattr(self, name) > 0.0 or not math.isfinite(getattr(self, name)):
                 raise InvalidParamsError(f"{name} must be positive and finite, got {float(getattr(self, name))!r}")
         if not self.pump >= 0.0 or not math.isfinite(self.pump):
@@ -57,18 +58,17 @@ class ModelParams:
             raise InvalidParamsError(f"n_emitters must be >= 1 and finite, got {float(self.n_emitters)!r}")
         coupling = fluctuation_coupling(self)
         if not coupling > 0.0 or not math.isfinite(coupling):
-            raise InvalidParamsError("kappa gamma_perp / n_threshold is not a positive finite number")
+            raise InvalidParamsError("kappa / n_threshold is not a positive finite number")
 
     @property
     def kappa_ratio(self) -> float:
         """The adiabaticity parameter 2 kappa / gamma_perp."""
-        return 2.0 * self.kappa / self.gamma_perp
+        return 2.0 * self.kappa
 
     @classmethod
     def from_ratio(cls, kappa_ratio: float, **kwargs) -> "ModelParams":
         """Build from 2 kappa / gamma_perp instead of kappa."""
-        gamma_perp = kwargs.get("gamma_perp", 1.0)
-        return cls(kappa=0.5 * kappa_ratio * gamma_perp, **kwargs)
+        return cls(kappa=0.5 * kappa_ratio, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -119,12 +119,12 @@ def derive_populations(params: ModelParams) -> Populations:
 
 def fluctuation_coupling(params: ModelParams) -> float:
     """kappa gamma_perp / N_th, the coupling of the population noise into the field."""
-    return params.kappa * params.gamma_perp / params.n_threshold
+    return params.kappa / params.n_threshold
 
 
 def zero_order_level(params: ModelParams, pops: Populations) -> float:
     """(kappa gamma_perp^2 / 2 N_th) N_e, the zero-order numerator of n(omega)."""
-    return 0.5 * params.kappa * params.gamma_perp ** 2 * pops.n_excited / params.n_threshold
+    return 0.5 * params.kappa * pops.n_excited / params.n_threshold
 
 
 def loop_coefficients(params: ModelParams, pops: Populations) -> tuple[float, float]:
@@ -132,8 +132,8 @@ def loop_coefficients(params: ModelParams, pops: Populations) -> tuple[float, fl
 
     A = s(0) = (kappa gamma_perp / 2)(1 - N/N_th); B = kappa + gamma_perp/2.
     """
-    a = 0.5 * params.kappa * params.gamma_perp * (1.0 - pops.inversion / params.n_threshold)
-    b = params.kappa + 0.5 * params.gamma_perp
+    a = 0.5 * params.kappa * (1.0 - pops.inversion / params.n_threshold)
+    b = params.kappa + 0.5
     return a, b
 
 
@@ -148,8 +148,8 @@ def _check_below_threshold(params: ModelParams, pops: Populations) -> None:
 def loop_denominator(params: ModelParams, pops: Populations, omega):
     """s(omega), complex; accepts scalars or arrays."""
     w = np.asarray(omega, dtype=float)
-    s = (1j * w - params.kappa) * (1j * w - 0.5 * params.gamma_perp) \
-        - 0.5 * params.kappa * params.gamma_perp * (pops.inversion / params.n_threshold)
+    s = (1j * w - params.kappa) * (1j * w - 0.5) \
+        - 0.5 * params.kappa * (pops.inversion / params.n_threshold)
     return complex(s) if w.ndim == 0 else s
 
 
@@ -165,10 +165,9 @@ def commutator_spectrum(params: ModelParams, pops: Populations, omega):
     """c(omega): strictly positive, even, with (2 pi)^-1 Int c = 1."""
     _check_below_threshold(params, pops)
     a, b = loop_coefficients(params, pops)
-    base = params.gamma_perp * a  # = (kappa gamma_perp^2/2)(1 - N/N_th)
     w2 = omega * omega
     d = a - w2
-    return (2.0 * params.kappa * w2 + base) / (d * d + b * b * w2)
+    return (2.0 * params.kappa * w2 + a) / (d * d + b * b * w2)
 
 
 def population_spectrum(pops: Populations, omega):
@@ -188,7 +187,7 @@ def validity_ratio(params: ModelParams) -> float:
     forms holds when this is small. Sweep rows above 0.1 carry the
     ``validity_ratio_above_0.1`` flag; the CLI prints the ratio.
     """
-    return params.gamma_par / math.sqrt(params.kappa * params.gamma_perp)
+    return params.gamma_par / math.sqrt(params.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +197,9 @@ def validity_ratio(params: ModelParams) -> float:
 # half-width of FrequencyGrid.for_model, in units of the widest spectral rate
 GRID_SAFETY = 50.0
 # largest FrequencyGrid point count: `srled spectrum` holds four float64
-# arrays and one CSV line of about 85 characters per point, so at this
-# count it peaks at about 460 MiB resident and writes an 89 MB file
+# arrays and writes them one CSV line of about 85 characters at a time, so
+# at this count it peaks at about 160 MiB resident (80 MiB of it the
+# imports) and writes an 89 MB file
 MAX_GRID_POINTS = 2**20 + 1
 
 
@@ -252,6 +252,6 @@ def widest_rate(params: ModelParams, pops: Populations) -> float:
     """max(kappa, gamma_perp, sqrt(kappa gamma_perp (1 + |N|/N_th)))."""
     return max(
         params.kappa,
-        params.gamma_perp,
-        math.sqrt(params.kappa * params.gamma_perp * (1.0 + abs(pops.inversion) / params.n_threshold)),
+        1.0,
+        math.sqrt(params.kappa * (1.0 + abs(pops.inversion) / params.n_threshold)),
     )

@@ -43,7 +43,7 @@ def set_params(base: ModelParams, values: dict[str, float]) -> ModelParams:
     """
     fields = {"n_threshold" if name == "n_th" else name: v for name, v in values.items()}
     if "kappa_ratio" in fields:
-        fields["kappa"] = 0.5 * fields.pop("kappa_ratio") * base.gamma_perp
+        fields["kappa"] = 0.5 * fields.pop("kappa_ratio")
     return dataclasses.replace(base, **fields)
 
 
@@ -300,24 +300,3 @@ def reproduce_figure(which: str, n_emitters: float, out_dir: Path,
         ycol=ycol, xscale=xscale, xlabel=xlabel, ylabel=ylabel,
     ))
     return [out_dir / fname for fname, _, _ in series] + [script]
-
-
-# ---------------------------------------------------------------------------
-# key=value config files
-# ---------------------------------------------------------------------------
-
-def parse_config(path: Path) -> dict[str, str]:
-    """Plain key=value lines; '#' starts a comment."""
-    out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidParamsError(f"bad config line {raw!r}")
-        key, val = line.split("=", 1)
-        key = key.strip()
-        if key in out:
-            raise InvalidParamsError(f"config key {key!r} is set twice")
-        out[key] = val.strip()
-    return out

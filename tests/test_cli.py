@@ -1,6 +1,9 @@
 """CLI subcommands exercised through main()."""
 
+import dataclasses
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 
@@ -54,6 +57,7 @@ def test_spectrum_csv(tmp_path, capsys):
 
 def test_spectrum_without_out_writes_stdout(capsys):
     assert main(["spectrum", "--grid-points", "5"]) == 0
+    assert not sys.stdout.closed
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "omega,commutator,population,photon"
     assert len(lines) == 7 and lines[4].startswith("0.0,")
@@ -74,6 +78,22 @@ def test_spectrum_refuses_grid_over_budget(tmp_path, capsys):
     assert main(argv) == 2
     assert "budget" in capsys.readouterr().err
     assert not out.exists()
+    # an input above threshold writes no file either
+    assert main(["spectrum", "--pump", "5.0", "--n-emitters", "100", "--out", str(out)]) == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_streams_rows(tmp_path):
+    # rows go out one by one: the traced peak stays below twice the file
+    out = tmp_path / "spec.csv"
+    tracemalloc.start()
+    try:
+        assert main(["spectrum", "--grid-points", "65537", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.stat().st_size
 
 
 def test_sweep_and_config_precedence(tmp_path):
@@ -90,6 +110,25 @@ def test_sweep_and_config_precedence(tmp_path):
     assert len(rows) == 4
     g2 = [r["g2_closed"] for r in rows]
     assert all(b < a for a, b in zip(g2, g2[1:]))
+
+
+def test_config_file_syntax(tmp_path, capsys):
+    # comments, an inline '#', blank lines and spaces around '='
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("# comment\nkappa-ratio = 2.0\npump=0.3\n\nn-th = 10 # inline\n")
+    argv = ["g2", "--method", "closed", "--config", str(cfg)]
+    assert _resolve_params(build_parser().parse_args(argv)) == dataclasses.replace(
+        EX1, kappa=1.0, pump=0.3, n_threshold=10.0)
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_config_line_without_equals(tmp_path, capsys):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("pump 0.3\n")
+    assert main(["g2", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "bad config line" in err
 
 
 def test_sweep_missing_out_directory_fails_first(tmp_path, capsys, monkeypatch):

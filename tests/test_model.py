@@ -1,5 +1,6 @@
 """Populations, loop denominator, commutator and population spectra."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -79,10 +80,19 @@ class TestDerivePopulations:
         with pytest.raises(InvalidParamsError):
             ModelParams(kappa=0.5, gamma_par=0.1, pump=0.1,
                         n_threshold=5.0, n_emitters=np.inf)
-        # kappa gamma_perp / n_threshold overflows
+        # kappa / n_threshold overflows
         with pytest.raises(InvalidParamsError):
             ModelParams(kappa=1e200, gamma_par=0.1, pump=0.1,
                         n_threshold=1e-200, n_emitters=20.0)
+
+    def test_gamma_perp_is_the_unit(self, ex1):
+        # gamma_perp = 1 is the unit of every rate, not a parameter
+        assert ModelParams.gamma_perp == ex1.gamma_perp == 1.0
+        with pytest.raises(TypeError):
+            ModelParams(kappa=0.5, gamma_par=0.1, pump=0.1,
+                        n_threshold=5.0, n_emitters=20.0, gamma_perp=2.0)
+        with pytest.raises(TypeError):
+            dataclasses.replace(ex1, gamma_perp=2.0)
 
     @given(pump=st.floats(0.0, 0.99), n_emitters=st.floats(1.0, 1e4))
     def test_population_closure(self, pump, n_emitters):

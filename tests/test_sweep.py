@@ -1,4 +1,4 @@
-"""Sweeps, flat files, figure datasets, and config parsing."""
+"""Sweeps, flat files and figure datasets."""
 
 import dataclasses
 
@@ -12,8 +12,8 @@ from srled.sweep import (
     SWEEPABLE,
     SweepRow,
     SweepSpec,
-    parse_config,
     read_rows,
+    set_params,
     write_rows,
 )
 
@@ -61,6 +61,16 @@ class TestSweepSpec:
         field = {"kappa_ratio": "kappa", "n_th": "n_threshold"}.get(variable, variable)
         # kappa_ratio is 2 kappa / gamma_perp
         assert changed == {field: 1.5 if variable == "kappa_ratio" else 3.0}
+
+    def test_sweepable_names_map_onto_model_fields(self, base):
+        # every model parameter can be set from the flags, the config file
+        # and sweeps, and no two names set the same one
+        changed = []
+        for variable in SWEEPABLE:
+            params = set_params(base, {variable: 7.0})
+            changed += [f.name for f in dataclasses.fields(params)
+                        if getattr(params, f.name) != getattr(base, f.name)]
+        assert sorted(changed) == sorted(f.name for f in dataclasses.fields(ModelParams))
 
     def test_grid_scales(self, base):
         lin = SweepSpec(base=base, variable="pump", start=0.1, stop=1.0, steps=10)
@@ -271,17 +281,3 @@ class TestReproduceFigures:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "fig3.png").exists()
-
-
-class TestConfigFiles:
-    def test_parse(self, tmp_path):
-        path = tmp_path / "model.cfg"
-        path.write_text("# comment\nkappa-ratio = 2.0\npump=0.3\n\nn-th = 10 # inline\n")
-        cfg = parse_config(path)
-        assert cfg == {"kappa-ratio": "2.0", "pump": "0.3", "n-th": "10"}
-
-    def test_bad_line_raises(self, tmp_path):
-        path = tmp_path / "model.cfg"
-        path.write_text("pump 0.3\n")
-        with pytest.raises(InvalidParamsError):
-            parse_config(path)
