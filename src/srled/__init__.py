@@ -47,7 +47,7 @@ from .photon import (
     mean_photon_quadrature,
     photon_number_spectrum,
 )
-from .quadrature import IntegrationSpec, integrate_1d
+from .quadrature import integrate_1d
 from .sweep import SweepRow, SweepSpec, reproduce_figure, run_sweep
 from .validation import run_validation
 
@@ -57,7 +57,6 @@ __all__ = [
     "AboveThresholdError",
     "FrequencyGrid",
     "G2Result",
-    "IntegrationSpec",
     "InvalidParamsError",
     "MeanPhotonResult",
     "ModelError",

@@ -76,19 +76,15 @@ class Populations:
     """Steady-state populations and their fluctuation parameters.
 
     n_excited   mean upper-state population N_e
-    n_ground    mean lower-state population N_g
-    inversion   N = N_e - N_g
+    inversion   N = N_e - N_g, N_g the mean lower-state population
     delta2_ne   upper-state population fluctuation dispersion
     gamma_p     pump-broadened population decay rate gamma_par (P+1)
-    diffusion   Langevin diffusion 2 D_NeNe = gamma_par (P N_g + N_e)
     """
 
     n_excited: float
-    n_ground: float
     inversion: float
     delta2_ne: float
     gamma_p: float
-    diffusion: float
 
     def without_fluctuations(self) -> "Populations":
         """Counterfactual copy with population fluctuations disabled."""
@@ -98,7 +94,9 @@ class Populations:
 def derive_populations(params: ModelParams) -> Populations:
     """Closed-form steady state for an incoherently pumped two-level medium.
 
-    N_e = P N_0 / (P+1), N_e + N_g = N_0, delta2_ne = N_e / (P+1).
+    N_e = P N_0 / (P+1), N_e + N_g = N_0, delta2_ne = N_e / (P+1). The
+    dispersion is the Langevin diffusion 2 D_NeNe = gamma_par (P N_g + N_e)
+    over twice the rate: delta2_ne = gamma_par (P N_g + N_e) / (2 gamma_p).
     Raises AboveThresholdError when the inversion reaches n_threshold, where
     the below-threshold model loses meaning.
     """
@@ -107,11 +105,9 @@ def derive_populations(params: ModelParams) -> Populations:
     n_g = params.n_emitters - n_e
     pops = Populations(
         n_excited=n_e,
-        n_ground=n_g,
         inversion=n_e - n_g,
         delta2_ne=n_e / (p + 1.0),
         gamma_p=params.gamma_par * (p + 1.0),
-        diffusion=params.gamma_par * (p * n_g + n_e),
     )
     _check_below_threshold(params, pops)
     return pops

@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -114,6 +115,13 @@ BLOCK_SAMPLES = 1 << 15
 _SQRT2 = np.sqrt(2.0)
 
 
+def _require_integers(**values) -> None:
+    """InvalidParamsError unless every value is an integer (numpy's included)."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Record geometry and ensemble size.
@@ -132,6 +140,7 @@ class MonteCarloConfig:
     def __post_init__(self):
         if not 0.0 < self.duration < math.inf:
             raise InvalidParamsError("duration must be positive and finite")
+        _require_integers(n_samples=self.n_samples, n_records=self.n_records, seed=self.seed)
         if self.n_samples < 2 or self.n_samples & (self.n_samples - 1):
             raise InvalidParamsError("n_samples must be a power of two >= 2")
         if self.n_samples > MAX_RECORD_SAMPLES:
@@ -368,8 +377,10 @@ def simulate_field_record(params: ModelParams, pops: Populations,
     The record's field is a(t) plus an independent stationary circular
     Gaussian of variance v: a is the population channel a_f and v the
     exact variance of the zero-order drive, or, when the model has no
-    population channel, a is the drawn drive and v = 0.
+    population channel, a is the drawn drive and v = 0. The config must
+    resolve the model's scales, as for run_monte_carlo (check_config).
     """
+    check_config(params, pops, config)
     ensemble = _Ensemble(params, pops, config)
     bufs = ensemble.buffers(1)
     ensemble.draw(rng, 0, bufs)

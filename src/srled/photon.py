@@ -139,9 +139,10 @@ def mean_photon_quadrature(params: ModelParams, pops: Populations,
     must match mean_photon_closed to 1e-5 relative; mode="exact" replaces
     c(omega) delta2_ne by the full convolution with the Lorentzian
     population spectrum and reports the (physical) discrepancy. In both
-    modes n0 is an adaptive integral at the default IntegrationSpec. The
-    exact fluctuation term is a fixed tensor rule (see _fluctuation_exact);
-    its error is a node-halving refinement estimate.
+    modes n0 is an adaptive integral at the default tolerances of
+    integrate_1d (1e-10 relative, 1e-13 absolute). The exact fluctuation
+    term is a fixed tensor rule (see _fluctuation_exact); its error is a
+    node-halving refinement estimate.
     """
     _check_below_threshold(params, pops)
     if mode not in ("delta", "exact"):

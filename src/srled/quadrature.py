@@ -1,9 +1,12 @@
 """Adaptive integration and the fixed rules of the population-smoothed paths.
 
 Adaptive 1-D integrals of real integrands over the whole real line are
-backed by QUADPACK (scipy.integrate) behind an IntegrationSpec contract
-that turns unreported convergence into a NonConvergenceError. The hot,
-fixed-order rules used by the cumulant code live here too:
+backed by QUADPACK (scipy.integrate); ``integrate_1d`` takes the relative
+and absolute tolerances as keywords, refuses a nonpositive or NaN one with
+InvalidParamsError and turns unreported convergence into a
+NonConvergenceError. Every adaptive integral runs over the whole line; an
+integrand that lives on a finite range is mapped onto it by the caller.
+The hot, fixed-order rules used by the cumulant code live here too:
 
 * ``tan_map_rule``: Gauss-Legendre on the whole real line through
   omega = scale * tan(phi), exponentially convergent for the rational
@@ -27,13 +30,12 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 from scipy.linalg import blas
 
-from .errors import NonConvergenceError
+from .errors import InvalidParamsError, NonConvergenceError
 from .model import (
     commutator_spectrum,
     loop_abs2,
@@ -46,40 +48,27 @@ from .model import (
 MAX_SUBDIVISIONS = 200
 
 
-@dataclass(frozen=True)
-class IntegrationSpec:
-    """Relative and absolute tolerances of an adaptive integral.
-
-    Every adaptive integral of the library runs over the whole real line;
-    an integrand that lives on a finite range is mapped onto it by the
-    caller.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-
-
-def integrate_1d(func, spec: IntegrationSpec = IntegrationSpec()) -> tuple[float, float]:
+def integrate_1d(func, *, rel_tol: float = 1e-10, abs_tol: float = 1e-13) -> tuple[float, float]:
     """Adaptive integral of a real integrand over the whole real line.
 
     Returns (value, error_estimate). Raises NonConvergenceError when the
     reported error stays far above the requested tolerance, as it does when
-    the MAX_SUBDIVISIONS budget runs out.
+    the MAX_SUBDIVISIONS budget runs out, and InvalidParamsError for a
+    tolerance that is not positive.
     """
+    if not (rel_tol > 0.0 and abs_tol > 0.0):
+        raise InvalidParamsError(f"tolerances must be positive, got rel_tol={rel_tol}, "
+                                 f"abs_tol={abs_tol}")
     with warnings.catch_warnings():
         # QUADPACK warns and still returns its best estimate; judge by the
         # reported error instead of aborting on the warning itself.
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(
             func, -np.inf, np.inf,
-            epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+            epsabs=abs_tol, epsrel=rel_tol,
             limit=MAX_SUBDIVISIONS,
         )
-    if err > max(spec.abs_tol, spec.rel_tol * abs(val)) * 50.0:
+    if err > max(abs_tol, rel_tol * abs(val)) * 50.0:
         raise NonConvergenceError(
             f"reported error {err:.3g} exceeds tolerance for value {val:.6g}"
         )

@@ -26,7 +26,13 @@ import numpy as np
 from .errors import InvalidParamsError, ModelError
 from .g2 import g2_bruteforce, g2_closed
 from .model import ModelParams, derive_populations, validity_ratio
-from .montecarlo import _MAX_SEED, _MIN_RECORDS, MonteCarloConfig, run_monte_carlo
+from .montecarlo import (
+    _MAX_SEED,
+    _MIN_RECORDS,
+    MonteCarloConfig,
+    _require_integers,
+    run_monte_carlo,
+)
 from .photon import mean_photon_closed, mean_photon_quadrature
 
 SWEEPABLE = ("kappa_ratio", "pump", "n_th", "gamma_par", "n_emitters")
@@ -64,6 +70,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in SWEEPABLE:
             raise InvalidParamsError(f"swept variable must be one of {SWEEPABLE}")
+        _require_integers(steps=self.steps, records=self.records, seed=self.seed)
         if self.steps < 2:
             raise InvalidParamsError("steps must be >= 2")
         if self.scale not in ("linear", "log"):

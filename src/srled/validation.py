@@ -24,7 +24,7 @@ from .g2 import g2_bruteforce, g2_closed, g2_from_delta_n
 from .model import ModelParams, commutator_spectrum, derive_populations, validity_ratio
 from .montecarlo import MonteCarloConfig, run_monte_carlo
 from .photon import dispersion_ratio, mean_photon_closed, mean_photon_quadrature
-from .quadrature import IntegrationSpec, integrate_1d
+from .quadrature import integrate_1d
 from .sweep import figure_series, run_sweep
 
 EX1 = ModelParams(kappa=0.5, gamma_par=0.1, pump=0.1, n_threshold=5.0, n_emitters=20.0)
@@ -118,8 +118,7 @@ def _worst_gap(seed: int, n_sets: int, gap, validity_max: float | None = None) -
 def criterion_1_commutator_normalization() -> CriterionResult:
     """(2 pi)^-1 Int c = 1 within 1e-5 on random valid sets."""
     def gap(params, pops):
-        val, _ = integrate_1d(lambda w: commutator_spectrum(params, pops, w),
-                              IntegrationSpec(rel_tol=1e-11, abs_tol=1e-13))
+        val, _ = integrate_1d(lambda w: commutator_spectrum(params, pops, w), rel_tol=1e-11)
         return abs(val / (2.0 * np.pi) - 1.0)
 
     def check():

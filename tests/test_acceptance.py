@@ -58,8 +58,7 @@ def test_normalization_criterion_is_sensitive(ex1, ex1_pops):
     # a 1% perturbation of the commutator spectrum must trip criterion 1
     import numpy as np
 
-    from srled import IntegrationSpec, commutator_spectrum, integrate_1d
+    from srled import commutator_spectrum, integrate_1d
 
-    val, _ = integrate_1d(lambda w: 1.01 * commutator_spectrum(ex1, ex1_pops, w),
-                          IntegrationSpec(rel_tol=1e-11))
+    val, _ = integrate_1d(lambda w: 1.01 * commutator_spectrum(ex1, ex1_pops, w), rel_tol=1e-11)
     assert abs(val / (2.0 * np.pi) - 1.0) > 1e-5

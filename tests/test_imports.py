@@ -1,6 +1,7 @@
 """Every module of the package and the tests reads each name it imports,
-every definition of the package is read by the package or the tests, the
-package loads ``scipy.signal`` only for Monte Carlo, and the oracles of
+every definition of the package is read by the package or the tests, every
+dataclass field of the package is read by the package itself, the package
+loads ``scipy.signal`` only for Monte Carlo, and the oracles of
 ``tests/oracles.py`` share no code with what they check.
 
 ``srled/__init__.py`` imports names only to export them; test_exports.py
@@ -89,6 +90,35 @@ def test_no_unread_definitions():
               for name, line in _defined(trees[path]).items()
               if name.split(".")[-1] not in read]
     assert not unread, f"definitions nothing reads: {', '.join(unread)}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Decorated with dataclass, dataclasses.dataclass or a call of either."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(ast.unparse(d).split(".")[-1] == "dataclass" for d in decorators)
+
+
+def _fields(tree: ast.Module) -> dict[str, int]:
+    """Fields of the module's dataclasses as Class.field -> line; ClassVar
+    annotations declare class constants, not fields."""
+    fields = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            fields.update((f"{node.name}.{item.target.id}", item.lineno) for item in node.body
+                          if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                          and "ClassVar" not in ast.unparse(item.annotation))
+    return fields
+
+
+def test_no_unread_dataclass_fields():
+    # a field that only the tests read is stored for nothing; construction
+    # by keyword is not a read
+    trees = {path: ast.parse(path.read_text()) for path in PACKAGE}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)}
+    unread = [f"{path.name}:{line} {name}" for path, tree in trees.items()
+              for name, line in _fields(tree).items() if name.split(".")[-1] not in read]
+    assert not unread, f"dataclass fields the package never reads: {', '.join(unread)}"
 
 
 ORACLES = ROOT / "tests" / "oracles.py"

@@ -12,7 +12,6 @@ from srled import (
     AboveThresholdError,
     FrequencyGrid,
     InvalidParamsError,
-    IntegrationSpec,
     ModelParams,
     MonteCarloConfig,
     commutator_spectrum,
@@ -29,6 +28,13 @@ from srled.montecarlo import record_rng
 from conftest import EX1_ORACLE
 
 
+def dispersion_from_diffusion(params, pops) -> float:
+    """gamma_par (P N_g + N_e) / (2 gamma_p): the Langevin diffusion 2 D_NeNe
+    over twice the population rate, N_g = N_0 - N_e."""
+    n_g = params.n_emitters - pops.n_excited
+    return params.gamma_par * (params.pump * n_g + pops.n_excited) / (2.0 * pops.gamma_p)
+
+
 class TestDerivePopulations:
     def test_symmetric_pump_point(self):
         # P = 1, N_0 = 100: equal populations, zero inversion
@@ -36,7 +42,6 @@ class TestDerivePopulations:
                              n_threshold=5.0, n_emitters=100.0)
         pops = derive_populations(params)
         assert pops.n_excited == pytest.approx(50.0, rel=1e-15)
-        assert pops.n_ground == pytest.approx(50.0, rel=1e-15)
         assert pops.inversion == pytest.approx(0.0, abs=1e-12)
         assert pops.delta2_ne == pytest.approx(25.0, rel=1e-15)
 
@@ -48,7 +53,6 @@ class TestDerivePopulations:
             pops = derive_populations(params)
             assert pops.n_excited == 0.0
             assert math.copysign(1.0, pops.n_excited) == 1.0
-            assert pops.n_ground == 20.0
             assert pops.inversion == -20.0
             assert pops.delta2_ne == 0.0
             assert pops.gamma_p == params.gamma_par
@@ -59,7 +63,15 @@ class TestDerivePopulations:
         assert ex1_pops.inversion == pytest.approx(o["inversion"], rel=1e-14)
         assert ex1_pops.delta2_ne == pytest.approx(o["delta2_ne"], rel=1e-14)
         assert ex1_pops.gamma_p == pytest.approx(o["gamma_p"], rel=1e-14)
-        assert ex1_pops.diffusion == pytest.approx(o["diffusion"], rel=1e-14)
+        # 2 D_NeNe = gamma_par (P N_g + N_e) = 4/11 and gamma_p = 0.11 give
+        # delta2_ne = (4/11) / 0.22 = 200/121
+        n_g = ex1.n_emitters - ex1_pops.n_excited
+        assert n_g == pytest.approx(o["n_ground"], rel=1e-14)
+        assert ex1.gamma_par * (ex1.pump * n_g + ex1_pops.n_excited) == pytest.approx(
+            o["diffusion"], rel=1e-14)
+        assert dispersion_from_diffusion(ex1, ex1_pops) == pytest.approx(o["delta2_ne"], rel=1e-14)
+        assert [f.name for f in dataclasses.fields(ex1_pops)] == [
+            "n_excited", "inversion", "delta2_ne", "gamma_p"]
 
     def test_above_threshold_raises(self):
         params = ModelParams(kappa=0.5, gamma_par=0.1, pump=2.0,
@@ -99,12 +111,13 @@ class TestDerivePopulations:
         params = ModelParams(kappa=0.5, gamma_par=0.1, pump=pump,
                              n_threshold=5.0, n_emitters=n_emitters)
         pops = derive_populations(params)
-        # n_ground is stored as the exact complement; the recombined sum can
+        # N_g is the exact complement N_0 - N_e; the recombined sum can
         # differ from n_emitters by one rounding step at most
-        assert pops.n_ground == n_emitters - pops.n_excited
-        assert pops.n_excited + pops.n_ground == pytest.approx(n_emitters, rel=1e-15)
-        assert pops.inversion == pops.n_excited - pops.n_ground
+        n_g = n_emitters - pops.n_excited
+        assert pops.n_excited + n_g == pytest.approx(n_emitters, rel=1e-15)
+        assert pops.inversion == pops.n_excited - n_g
         assert pops.delta2_ne >= 0.0
+        assert pops.delta2_ne == pytest.approx(dispersion_from_diffusion(params, pops), rel=1e-14)
 
 
 class TestLoopDenominator:
@@ -154,8 +167,7 @@ class TestCommutatorSpectrum:
         assert c0 == pytest.approx(alt, rel=1e-14)
 
     def test_normalization_ex1(self, ex1, ex1_pops):
-        val, _ = integrate_1d(lambda w: commutator_spectrum(ex1, ex1_pops, w),
-                              IntegrationSpec(rel_tol=1e-11))
+        val, _ = integrate_1d(lambda w: commutator_spectrum(ex1, ex1_pops, w), rel_tol=1e-11)
         assert val / (2.0 * np.pi) == pytest.approx(1.0, abs=1e-9)
 
     def test_even_and_positive(self, ex1, ex1_pops):
@@ -172,8 +184,7 @@ class TestCommutatorSpectrum:
         params = ModelParams.from_ratio(ratio, gamma_par=0.1, pump=pump,
                                         n_threshold=n_th, n_emitters=n_emitters)
         pops = derive_populations(params)
-        val, _ = integrate_1d(lambda w: commutator_spectrum(params, pops, w),
-                              IntegrationSpec(rel_tol=1e-10))
+        val, _ = integrate_1d(lambda w: commutator_spectrum(params, pops, w), rel_tol=1e-10)
         assert val / (2.0 * np.pi) == pytest.approx(1.0, abs=1e-6)
 
 

@@ -68,6 +68,14 @@ class TestConfig:
     def test_power_of_two_required(self):
         with pytest.raises(InvalidParamsError):
             MonteCarloConfig(duration=100.0, n_samples=1000)
+        # counts and seeds are integers; numpy's are accepted as they are
+        for field in ({"n_samples": 1024.0}, {"n_records": 30.5}, {"seed": 2.5},
+                      {"seed": 2.0}):
+            with pytest.raises(InvalidParamsError, match="must be an integer"):
+                MonteCarloConfig(duration=100.0, **{"n_samples": 1024, **field})
+        config = MonteCarloConfig(duration=100.0, n_samples=np.int64(1024),
+                                  n_records=np.int32(30), seed=np.uint64(2))
+        assert config.dt == 100.0 / 1024
 
     def test_for_model_resolves_scales(self, ex1, ex1_pops):
         config = MonteCarloConfig.for_model(ex1, ex1_pops)
@@ -387,9 +395,13 @@ class TestFieldRecords:
         assert (peaks[1] - peaks[0]) / 1000 < 32.0
 
     def test_config_check_rejects_short_records(self, ex1, ex1_pops):
+        # T = 64 is below MIN_CYCLES / gamma_p = 455: the ensemble and the
+        # one-record path both refuse it
         bad = MonteCarloConfig(duration=64.0, n_samples=512, n_records=40)
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InvalidParamsError, match="need at least 455"):
             run_monte_carlo(ex1, ex1_pops, bad)
+        with pytest.raises(InvalidParamsError, match="need at least 455"):
+            simulate_field_record(ex1, ex1_pops, bad, record_rng(bad, 0))
 
 
 class TestConditionalDrive:

@@ -66,8 +66,7 @@ class TestMeanPhotonClosed:
 
         params = ModelParams(kappa=0.5, gamma_par=0.1, pump=0.0,
                              n_threshold=4.0, n_emitters=20.0)
-        pops = Populations(n_excited=0.0, n_ground=20.0, inversion=0.0,
-                           delta2_ne=0.0, gamma_p=0.1, diffusion=0.0)
+        pops = Populations(n_excited=0.0, inversion=0.0, delta2_ne=0.0, gamma_p=0.1)
         res = mean_photon_closed(params, pops)
         assert res.delta_n == pytest.approx(0.75, rel=1e-14)
 

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 
 from srled import (
-    IntegrationSpec,
+    InvalidParamsError,
     NonConvergenceError,
     commutator_spectrum,
     derive_populations,
@@ -35,7 +35,7 @@ class TestIntegrate1D:
         assert err < 1e-8
 
     def test_odd_function_vanishes(self):
-        val, _ = integrate_1d(lambda w: w * np.exp(-w * w), IntegrationSpec(abs_tol=1e-12))
+        val, _ = integrate_1d(lambda w: w * np.exp(-w * w), abs_tol=1e-12)
         assert abs(val) < 1e-10
 
     def test_commutator_normalization_ex1(self, ex1, ex1_pops):
@@ -44,15 +44,25 @@ class TestIntegrate1D:
 
     def test_nonconvergence_on_budget_exhaustion(self):
         # reported error about 1.8e7 on a value of -8.2e6
-        spec = IntegrationSpec(rel_tol=1e-12, abs_tol=1e-14)
         with pytest.raises(NonConvergenceError):
-            integrate_1d(lambda w: np.cos(40.0 * w * w), spec)
+            integrate_1d(lambda w: np.cos(40.0 * w * w), rel_tol=1e-12, abs_tol=1e-14)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            IntegrationSpec(rel_tol=-1.0)
-        # tolerances only: every integral runs over the whole line
-        assert [f.name for f in dataclasses.fields(IntegrationSpec)] == ["rel_tol", "abs_tol"]
+        # a nonpositive or NaN tolerance is refused before QUADPACK runs
+        calls = []
+
+        def func(w):
+            calls.append(w)
+            return np.exp(-w * w)
+
+        for tols in ({"rel_tol": -1.0}, {"rel_tol": 0.0}, {"abs_tol": 0.0},
+                     {"rel_tol": np.nan}, {"abs_tol": np.nan}):
+            with pytest.raises(InvalidParamsError, match="tolerances must be positive"):
+                integrate_1d(func, **tols)
+        assert calls == []
+        # the tolerances are keywords only
+        with pytest.raises(TypeError):
+            integrate_1d(func, 1e-10)
 
     def test_grid_half_width_rule_converged(self, ex1, ex1_pops):
         # doubling omega_max beyond the default rule moves the loop-filter

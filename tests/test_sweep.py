@@ -35,8 +35,9 @@ class TestSweepSpec:
     def test_validation(self, base):
         with pytest.raises(InvalidParamsError):
             SweepSpec(base=base, variable="bogus", start=1, stop=2, steps=3)
-        with pytest.raises(InvalidParamsError):
-            SweepSpec(base=base, variable="pump", start=1, stop=2, steps=1)
+        for steps in (1, 2.5, 3.0):
+            with pytest.raises(InvalidParamsError):
+                SweepSpec(base=base, variable="pump", start=1, stop=2, steps=steps)
         with pytest.raises(InvalidParamsError):
             SweepSpec(base=base, variable="pump", start=1, stop=2, steps=3,
                       methods=("closed", "bogus"))
@@ -46,8 +47,10 @@ class TestSweepSpec:
                                    (0.1, float("inf"), "log"), (-float("inf"), 2, "linear")):
             with pytest.raises(InvalidParamsError):
                 SweepSpec(base=base, variable="pump", start=start, stop=stop, steps=3, scale=scale)
-        # Monte Carlo settings no row could use
-        for records, seed in ((_MIN_RECORDS - 1, 0), (0, 0), (500, -1), (500, 2 ** 63 + 1)):
+        # Monte Carlo settings no row could use: rows flag model errors, so a
+        # record count or seed that is not an integer is refused up front
+        for records, seed in ((_MIN_RECORDS - 1, 0), (0, 0), (500, -1), (500, 2 ** 63 + 1),
+                              (30.5, 0), (500, 2.5), (500.0, 0)):
             with pytest.raises(InvalidParamsError):
                 SweepSpec(base=base, variable="pump", start=0.1, stop=0.2, steps=2,
                           methods=("montecarlo",), records=records, seed=seed)
