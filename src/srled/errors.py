@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises one."""
+
+import numbers
 
 
 class ModelError(Exception):
@@ -32,3 +35,9 @@ class RecordTooLongError(ModelError, ValueError):
 class TooFewRecordsError(ModelError, ValueError):
     """Moment estimation needs a minimum ensemble size."""
 
+
+def _require_integers(**values) -> None:
+    """InvalidParamsError unless every value is an integer (numpy's included)."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise InvalidParamsError(f"{name} must be an integer, got {value!r}")

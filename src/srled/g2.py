@@ -15,7 +15,9 @@ field component from c(omega), s(omega) and the population spectrum alone,
 and assembles g2 = 2 + (kappa gamma_perp / N_th)^4 C / n^2 with n computed
 by the matching quadrature mode. K is formed on the outer tan-map nodes
 only: in the full mode it is the Cauchy-smoothed inverse loop filter of
-quadrature.smoothed_inverse_filter, whose diagonal also gives the exact n.
+quadrature.smoothed_inverse_filter, an exact residue sum whose diagonal
+also gives the exact n. K(-a, -b) = conj K(a, b), and the tan-map grid is
+its own mirror, so the full mode forms and sums only the rows a > 0.
 In the delta mode the population spectrum collapses to a point mass and C
 must equal [2 delta2_ne (2 pi)^-1 Int c/|s|^2]^2; agreement of the two
 paths is a genuine cross-check of the cumulant algebra.
@@ -37,7 +39,7 @@ from .model import (
 )
 from .photon import mean_photon_closed, mean_photon_quadrature
 from .quadrature import (
-    CUMULANT_NODES,
+    OUTER_NODES,
     commutator_rule,
     refined,
     smoothed_inverse_filter,
@@ -48,7 +50,7 @@ METHOD_DELTA = "cumulant-delta"
 METHOD_FULL = "cumulant-full"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class G2Result:
     g2: float
     cumulant: float | None
@@ -68,25 +70,25 @@ def g2_closed(params: ModelParams, pops: Populations) -> G2Result:
     return G2Result(g2=g2_from_delta_n(mp.delta_n), cumulant=None, method=METHOD_CLOSED)
 
 
-def _kernel_matrix(params, pops, omega, mode, per_unit):
-    """K(omega_i, omega_j), the kernel inside the cumulant integral, on nodes.
+def _kernel_matrix(params, pops, rows, cols, mode):
+    """K(rows_i, cols_j), the kernel inside the cumulant integral, on nodes.
 
-    delta: the point-mass reduction delta2_ne / [s(omega_j) s*(omega_i)].
-    full: (2 pi)^-1 Int pop_spectrum(w) / [s(w + omega_j) s*(w + omega_i)] dw,
-    the Cauchy-smoothed inverse filter on the log ring with per_unit nodes
-    per unit of log omega. Hermitian: K(a, b) = conj(K(b, a)).
+    delta: the point-mass reduction delta2_ne / [s(cols_j) s*(rows_i)].
+    full: (2 pi)^-1 Int pop_spectrum(w) / [s(w + cols_j) s*(w + rows_i)] dw,
+    the exactly Cauchy-smoothed inverse filter. Hermitian:
+    K(a, b) = conj(K(b, a)).
     """
     if mode == "delta":
-        inv_s = 1.0 / loop_denominator(params, pops, omega)
-        return pops.delta2_ne * np.outer(np.conj(inv_s), inv_s)
-    return pops.delta2_ne * smoothed_inverse_filter(params, pops, omega, per_unit)
+        return pops.delta2_ne * np.outer(np.conj(1.0 / loop_denominator(params, pops, rows)),
+                                         1.0 / loop_denominator(params, pops, cols))
+    return pops.delta2_ne * smoothed_inverse_filter(params, pops, rows[:, None], cols)
 
 
 def noise_cumulant(params: ModelParams, pops: Populations,
                    mode: str = "delta") -> tuple[float, float]:
     """The fourth-order field-noise cumulant by 2-D tensor quadrature.
 
-    Returns (value, refinement_error) at CUMULANT_NODES, the error by
+    Returns (value, refinement_error) at OUTER_NODES, the error by
     quadrature.refined. Nonnegative by construction (the integrand is
     c c |K|^2 >= 0); zero when fluctuations are disabled.
     """
@@ -96,12 +98,16 @@ def noise_cumulant(params: ModelParams, pops: Populations,
     if pops.delta2_ne == 0.0:
         return 0.0, 0.0
 
-    def evaluate(n_nodes, per_unit):
+    def evaluate(n_nodes):
         omega, wc = commutator_rule(params, pops, n_nodes)
-        kmat = _kernel_matrix(params, pops, omega, mode, per_unit)
-        return 4.0 / (2.0 * np.pi) ** 2 * float(wc @ (np.abs(kmat) ** 2) @ wc)
+        # full: |K(-a, -b)| = |K(a, b)| on the sorted, mirror-closed grid of
+        # an even node count, so the rows a > 0 count twice; the delta mode
+        # sums every row
+        first, fold = (0, 1.0) if mode == "delta" else (n_nodes // 2, 2.0)
+        kmat = _kernel_matrix(params, pops, omega[first:], omega, mode)
+        return fold * 4.0 / (2.0 * np.pi) ** 2 * float(wc[first:] @ (np.abs(kmat) ** 2) @ wc)
 
-    return refined(evaluate, CUMULANT_NODES)
+    return refined(evaluate, OUTER_NODES)
 
 
 def g2_bruteforce(params: ModelParams, pops: Populations, mode: str = "delta") -> G2Result:

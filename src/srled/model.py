@@ -23,10 +23,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import AboveThresholdError, InvalidParamsError
+from .errors import AboveThresholdError, InvalidParamsError, _require_integers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelParams:
     """One LED configuration.
 
@@ -51,9 +51,10 @@ class ModelParams:
                 raise InvalidParamsError(f"{name} must be positive and finite, got {float(getattr(self, name))!r}")
         if not self.pump >= 0.0 or not math.isfinite(self.pump):
             raise InvalidParamsError(f"pump must be >= 0, got {float(self.pump)!r}")
-        # -0.0 passes the check above; store it as +0.0, so that N_e and
-        # everything printed from it carry no negative sign
-        object.__setattr__(self, "pump", abs(self.pump))
+        if self.pump == 0.0:
+            # -0.0 passes the check above; store it as +0.0, so that N_e
+            # and everything printed from it carry no negative sign
+            object.__setattr__(self, "pump", 0.0)
         if not self.n_emitters >= 1.0 or not math.isfinite(self.n_emitters):
             raise InvalidParamsError(f"n_emitters must be >= 1 and finite, got {float(self.n_emitters)!r}")
         coupling = fluctuation_coupling(self)
@@ -71,7 +72,7 @@ class ModelParams:
         return cls(kappa=0.5 * kappa_ratio, **kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Populations:
     """Steady-state populations and their fluctuation parameters.
 
@@ -210,6 +211,7 @@ class FrequencyGrid:
     def __post_init__(self):
         if not self.omega_max > 0.0 or not math.isfinite(self.omega_max):
             raise InvalidParamsError(f"omega_max must be positive and finite, got {self.omega_max!r}")
+        _require_integers(n_points=self.n_points)
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise InvalidParamsError("symmetric grids need an odd point count >= 3")
         if self.n_points > MAX_GRID_POINTS:

@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import importlib
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -87,6 +86,7 @@ from .errors import (
     RecordTooLongError,
     StepTooLargeError,
     TooFewRecordsError,
+    _require_integers,
 )
 from .model import (
     ModelParams,
@@ -113,13 +113,6 @@ MAX_RECORD_SAMPLES = 1 << 20
 # workers synthesizes chunks of max(1, BLOCK_SAMPLES // n // W) records
 BLOCK_SAMPLES = 1 << 15
 _SQRT2 = np.sqrt(2.0)
-
-
-def _require_integers(**values) -> None:
-    """InvalidParamsError unless every value is an integer (numpy's included)."""
-    for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
-            raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

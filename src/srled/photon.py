@@ -13,9 +13,9 @@ quadrature paths recompute n independently, either with that approximation
 ("delta", adaptive QUADPACK) or with the full convolution of the commutator
 and population spectra ("exact"), and must agree with the closed form in the
 delta mode. The exact mode smooths the inverse loop filter over the
-population Lorentzian with quadrature.smoothed_inverse_filter, the rule the
-full-Lorentzian cumulant of srled.g2 uses too: n is the diagonal of that
-cumulant's kernel integrated against c.
+population Lorentzian with quadrature.smoothed_inverse_filter, the exact
+residue sum the full-Lorentzian cumulant of srled.g2 uses too: n is the
+diagonal of that cumulant's kernel integrated against c.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .model import (
     zero_order_level,
 )
 from .quadrature import (
-    EXACT_N_NODES,
+    OUTER_NODES,
     commutator_rule,
     integrate_1d,
     refined,
@@ -47,7 +47,7 @@ METHOD_DELTA = "quadrature-delta-approx"
 METHOD_EXACT = "quadrature-exact-convolution"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeanPhotonResult:
     """n0, the relative fluctuation increase Delta_n, and n = n0 (1+Delta_n)."""
 
@@ -118,17 +118,16 @@ def _fluctuation_exact(params, pops):
     """Cauchy-smoothed fluctuation term: delta2_ne coup^2 E_X[h(X)].
 
     h(x) = (2 pi)^-1 Int c(w)/|s(w + x)|^2 dw and X is Cauchy(gamma_p):
-    the tan-map rule over w against the diagonal of the smoothed inverse
-    filter, at EXACT_N_NODES with the quadrature.refined error estimate.
+    the tan-map rule over w against the exact smoothed inverse filter
+    K(w_j, w_j), at OUTER_NODES with the quadrature.refined error estimate.
     """
     scale = pops.delta2_ne * fluctuation_coupling(params) ** 2 / (2.0 * np.pi)
 
-    def evaluate(n_outer, per_unit):
-        omega, wc = commutator_rule(params, pops, n_outer)
-        return scale * float(wc @ smoothed_inverse_filter(params, pops, omega, per_unit,
-                                                          diagonal=True))
+    def evaluate(n_nodes):
+        omega, wc = commutator_rule(params, pops, n_nodes)
+        return scale * float(wc @ smoothed_inverse_filter(params, pops, omega, omega).real)
 
-    return refined(evaluate, EXACT_N_NODES)
+    return refined(evaluate, OUTER_NODES)
 
 
 def mean_photon_quadrature(params: ModelParams, pops: Populations,
@@ -141,8 +140,8 @@ def mean_photon_quadrature(params: ModelParams, pops: Populations,
     population spectrum and reports the (physical) discrepancy. In both
     modes n0 is an adaptive integral at the default tolerances of
     integrate_1d (1e-10 relative, 1e-13 absolute). The exact fluctuation
-    term is a fixed tensor rule (see _fluctuation_exact); its error is a
-    node-halving refinement estimate.
+    term is a fixed outer rule over an exact inner average (see
+    _fluctuation_exact); its error is a node-halving refinement estimate.
     """
     _check_below_threshold(params, pops)
     if mode not in ("delta", "exact"):

@@ -6,24 +6,21 @@ and absolute tolerances as keywords, refuses a nonpositive or NaN one with
 InvalidParamsError and turns unreported convergence into a
 NonConvergenceError. Every adaptive integral runs over the whole line; an
 integrand that lives on a finite range is mapped onto it by the caller.
-The hot, fixed-order rules used by the cumulant code live here too:
+The hot paths of every full-Lorentzian (population-smoothed) quantity live
+here too:
 
 * ``tan_map_rule``: Gauss-Legendre on the whole real line through
   omega = scale * tan(phi), exponentially convergent for the rational
   spectra of this model (they decay at least like omega^-2); the unit
   rule is built once per node count and cached,
-* ``log_ring_rule``: trapezoid in log omega for Cauchy-kernel smoothing
-  E[G(X)], X ~ Cauchy(gamma), whose integrand carries structure on two
-  widely separated scales (gamma_p and the loop-filter scale),
-* ``commutator_rule`` and ``smoothed_inverse_filter``: the two halves of
-  every full-Lorentzian (population-smoothed) quantity, the weights
-  w_j c(omega_j) of the outer tan-map rule and the inverse loop filter on
-  that grid, Cauchy-smoothed over the log ring. The ring is walked once,
-  with +nu only: s(-omega) = conj s(omega), so the -nu half is the +nu
-  half on the mirrored grid, conjugated. The exact mean photon number
-  takes the diagonal of the smoothed filter and the fourth-order
-  cumulant the whole matrix,
-* ``refined``: the node-halving error estimate of both tensor rules.
+* ``commutator_rule``: the outer nodes omega_j and weights w_j c(omega_j)
+  on that map,
+* ``smoothed_inverse_filter``: the Cauchy(gamma_p) average of
+  conj(1/s(omega_a + X)) / s(omega_b + X), exact in closed form: the
+  average of a rational function is a finite residue sum. The exact mean
+  photon number takes it at omega_a = omega_b, the fourth-order cumulant
+  on the whole outer grid,
+* ``refined``: the node-halving error estimate of the outer rule.
 """
 
 from __future__ import annotations
@@ -33,15 +30,9 @@ import warnings
 
 import numpy as np
 from scipy import integrate
-from scipy.linalg import blas
 
 from .errors import InvalidParamsError, NonConvergenceError
-from .model import (
-    commutator_spectrum,
-    loop_abs2,
-    loop_denominator,
-    widest_rate,
-)
+from .model import commutator_spectrum, loop_coefficients, widest_rate
 
 
 # QUADPACK subdivision budget of every adaptive integral
@@ -80,7 +71,7 @@ def integrate_1d(func, *, rel_tol: float = 1e-10, abs_tol: float = 1e-13) -> tup
 # ---------------------------------------------------------------------------
 
 # unit tan-map rules kept, one per node count; the tensor rules use
-# CUMULANT_NODES, EXACT_N_NODES and their halves (200 and 100 nodes)
+# OUTER_NODES and its half (200 and 100 nodes)
 TAN_MAP_CACHE = 8
 
 
@@ -106,61 +97,20 @@ def tan_map_rule(scale: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return scale * tan, scale * 0.5 * np.pi * w / cos2
 
 
-def log_ring_rule(gamma: float, scale: float,
-                  per_unit: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cauchy expectation E[G(X)], X ~ Cauchy(gamma), on a log ring.
+# tan-map node count of the outer rule of both tensor rules, the exact mean
+# photon number and the fourth-order cumulant (g2.noise_cumulant and
+# g2_bruteforce); quadrature.refined checks it against half as many
+OUTER_NODES = 200
 
-    Returns (omega, weights, center) with
-    E[G(X)] ~ center G(0) + sum_k weights_k [G(omega_k) + G(-omega_k)]
-    for a G that is smooth at 0 and vanishes at infinity. The weights are
-    the trapezoid rule in t = log omega for Int_0^inf K(omega) g(omega)
-    d omega, K the kernel (gamma/pi)/(omega^2+gamma^2), between
-    omega_lo = gamma e^-RING_PAD and omega_top = max(scale, gamma) e^+RING_PAD;
-    g = G(omega) + G(-omega) - 2 G(0) is O(omega^2) below omega_lo, so
-    that end needs no correction. Beyond omega_top, g tends to -2 G(0),
-    not to 0: the Cauchy mass there, (1/pi) arctan(gamma/omega_top) per
-    side, goes with G(infinity) = 0 and is taken out of the center weight.
+
+def refined(evaluate, n_nodes: int) -> tuple[float, float]:
+    """Value of an outer rule and its node-halving error estimate.
+
+    Returns (fine, |fine - coarse|): fine is evaluate(n_nodes), coarse the
+    same rule on half the nodes.
     """
-    t_lo = np.log(gamma) - RING_PAD
-    t_hi = np.log(max(scale, gamma)) + RING_PAD
-    n = int(np.ceil((t_hi - t_lo) * per_unit)) + 1
-    t = np.linspace(t_lo, t_hi, n)
-    dt = t[1] - t[0]
-    omega = np.exp(t)
-    kern = (gamma / np.pi) / (omega * omega + gamma * gamma)
-    weights = kern * omega * dt
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    tail = float(np.arctan(gamma / omega[-1])) / np.pi
-    center = 1.0 - 2.0 * (float(np.sum(weights)) + tail)
-    return omega, weights, center
-
-
-# Node counts (outer tan-map nodes, ring nodes per unit of log omega) of the
-# tensor rules, each refined against half as many outer and ring nodes: the
-# fourth-order cumulant (g2.noise_cumulant and g2_bruteforce) and the exact
-# mean photon number, whose diagonal sum needs the finer ring: with 24 ring
-# nodes per unit it is off by 1.6e-8 relative at EX1, with 48 by 1.4e-9.
-CUMULANT_NODES = (200, 24)
-EXACT_N_NODES = (200, 48)
-# ring nodes per block of smoothed_inverse_filter: a block's filters,
-# shifted by +nu on the mirror-closed grid, are 64 x n_outer values on a
-# tan-map grid whatever the ring length (~1000 nodes at 24 per unit and
-# gamma_par = 1e-4)
-RING_BLOCK = 64
-# log omega margin of the ring beyond gamma below and max(scale, gamma) above
-RING_PAD = 16.0
-
-
-def refined(evaluate, nodes: tuple[int, int]) -> tuple[float, float]:
-    """Value of a tensor rule and its node-halving error estimate.
-
-    Returns (fine, |fine - coarse|): fine is evaluate(n_outer, per_unit) at
-    nodes, coarse the same rule on half the outer and half the ring nodes.
-    """
-    n_outer, per_unit = nodes
-    fine = evaluate(n_outer, per_unit)
-    return fine, abs(fine - evaluate(n_outer // 2, per_unit // 2))
+    fine = evaluate(n_nodes)
+    return fine, abs(fine - evaluate(n_nodes // 2))
 
 
 def commutator_rule(params, pops, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,36 +119,48 @@ def commutator_rule(params, pops, n_nodes: int) -> tuple[np.ndarray, np.ndarray]
     return omega, weights * commutator_spectrum(params, pops, omega)
 
 
-def smoothed_inverse_filter(params, pops, omega: np.ndarray, per_unit: int,
-                            diagonal: bool = False) -> np.ndarray:
-    """E[conj(1/s(omega_i + X)) / s(omega_j + X)], X ~ Cauchy(gamma_p).
+def smoothed_inverse_filter(params, pops, omega_a, omega_b) -> np.ndarray:
+    """K(a, b) = E[conj(1/s(omega_a + X)) / s(omega_b + X)], X ~ Cauchy(gamma_p).
 
-    The Cauchy expectation runs on log_ring_rule(gamma_p, widest_rate):
-    center G(0) + sum_k w_k [G(nu_k) + G(-nu_k)], a weighted Gram matrix of
-    the shifted inverse filters. s(-x) = conj s(x) makes the -nu_k half at
-    omega the conjugated +nu_k half at -omega, so the ring is walked once,
-    RING_BLOCK nodes at a time, with +nu_k and half the center on the sorted
-    grid u of +-omega (omega itself on a tan-map grid); np.flip maps u to -u
-    and adds the mirror. diagonal=True forms only the real E|s(omega_j + X)|^-2.
+    Exact, elementwise over omega_a and omega_b broadcast together: a
+    column of nodes against a row gives the matrix, one grid twice its
+    diagonal, the real E|s(omega + X)|^-2. With s(w) = A - w (w + iB), the
+    continued conj(s) has the zeros z_1,2 = (iB +- sqrt(4A - B^2))/2 above
+    the real axis, so conj s(omega_a + x) = -(x - p_1)(x - p_2) with
+    p_k = z_k - omega_a, and the Cauchy density has its upper pole at
+    p_0 = i gamma_p. Closing the average above the axis leaves the divided
+    difference K = -2i gamma_p psi[p_0, p_1, p_2] of psi = 1/Q,
+    Q(x) = (x + i gamma_p) s(omega_b + x), whose zeros lie below the axis.
+    By Opitz's theorem it is the corner of psi(J) = Q(J)^-1 for the
+    bidiagonal J with p_0, p_1, p_2 on its diagonal:
+    psi[p_0, p_1, p_2] = (T01 T12 - T02 T11) / (T00 T11 T22), with
+    T_kk = Q(p_k) and the divided differences of the cubic Q above the
+    diagonal, which Leibniz's rule for the product gives with no division.
+    With q_k = p_k + i gamma_p, sigma_k = s(z_k + omega_b - omega_a) and
+    e = omega_b - omega_a + iB, two of its terms cancel and
+
+        K = -[sigma_1 sigma_2 + 2i gamma_p (q_1 sigma_1
+              - (q_1 + 2 omega_b + iB)(sigma_2 - 2 q_1 e))]
+            / [s(omega_b + i gamma_p) q_1 q_2 sigma_1 sigma_2].
+
+    No difference of two poles is divided by, so coincident poles
+    (4A = B^2, or gamma_p = Im z_k at omega_a = Re z_k) need no special
+    case, and sigma_k, formed from omega_b - omega_a, stays accurate on
+    the far nodes of the tan map.
     """
-    nodes, ring_w, center = log_ring_rule(pops.gamma_p, widest_rate(params, pops),
-                                          per_unit=per_unit)
-    u = np.unique(np.concatenate((omega, -omega)))
-    if diagonal:
-        out = 0.5 * center / loop_abs2(params, pops, u)
-    else:
-        out = blas.zherk(0.5 * center, 1.0 / loop_denominator(params, pops, u[None]), trans=2)
-    for start in range(0, nodes.size, RING_BLOCK):
-        shifted = u + nodes[start:start + RING_BLOCK, None]
-        w = ring_w[start:start + RING_BLOCK]
-        if diagonal:
-            out += w @ (1.0 / loop_abs2(params, pops, shifted))
-        else:
-            # out += a^H a, a = sqrt(w) / s, on the upper triangle (zherk)
-            a = np.sqrt(w)[:, None] / loop_denominator(params, pops, shifted)
-            out = blas.zherk(1.0, a, beta=1.0, c=out, trans=2, overwrite_c=1)
-    if not diagonal:
-        out = np.triu(out) + np.conj(np.triu(out, 1)).T
-    out = out + np.conj(np.flip(out))
-    at = np.searchsorted(u, omega)
-    return out[at] if diagonal else out[np.ix_(at, at)]
+    a, b = loop_coefficients(params, pops)
+    ig = 1j * pops.gamma_p
+    root = np.sqrt(complex(4.0 * a - b * b))
+    z1, z2 = 0.5 * (1j * b + root), 0.5 * (1j * b - root)
+
+    def s(w):
+        # the loop denominator continued to complex w
+        return a - w * (w + 1j * b)
+
+    d = omega_b - omega_a
+    sig1, sig2 = s(z1 + d), s(z2 + d)
+    q1, q2 = z1 + ig - omega_a, z2 + ig - omega_a
+    sig12 = sig1 * sig2
+    num = sig12 + 2.0 * ig * (q1 * sig1 - (q1 + (2.0 * omega_b + 1j * b))
+                              * (sig2 - 2.0 * q1 * (d + 1j * b)))
+    return -num / ((q1 * q2) * s(omega_b + ig) * sig12)

@@ -23,14 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParamsError, ModelError
+from .errors import InvalidParamsError, ModelError, _require_integers
 from .g2 import g2_bruteforce, g2_closed
 from .model import ModelParams, derive_populations, validity_ratio
 from .montecarlo import (
     _MAX_SEED,
     _MIN_RECORDS,
     MonteCarloConfig,
-    _require_integers,
     run_monte_carlo,
 )
 from .photon import mean_photon_closed, mean_photon_quadrature

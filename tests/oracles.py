@@ -4,10 +4,13 @@ An oracle must not share the code it checks: nothing here imports a name
 that srled.quadrature defines, directly or through srled, and no module of
 srled imports this one (tests/test_imports.py checks both). Adaptive
 integrals call scipy.integrate.quad directly, with their own tolerances
-and convergence check; the kernel oracle is exact residue calculus.
+and convergence check.
 
 * ``kernel_full_residues``: the full-mode cumulant kernel
-  g2._kernel_matrix(..., "full", ...) as a closed residue sum,
+  g2._kernel_matrix(..., "full") as a closed residue sum over simple
+  poles, refused where two poles nearly coincide,
+* ``kernel_full_adaptive``: the same kernel by QUADPACK on the
+  tan-substituted Cauchy average, with no exclusion,
 * ``cumulant_delta_product_form``: the delta-mode noise_cumulant as the
   square of a 1-D integral,
 * ``mean_term_cancellation``: the exact-convolution n of
@@ -34,14 +37,15 @@ from srled.photon import mean_photon_quadrature
 QUAD_LIMIT = 200
 
 
-def _quad(func, lo, hi, rel_tol, abs_tol):
-    """QUADPACK integral over [lo, hi]; NonConvergenceError when the reported
-    error stays 50x above the requested tolerance."""
+def _quad(func, lo, hi, rel_tol, abs_tol, points=None):
+    """QUADPACK integral over [lo, hi], split at the finite points if any;
+    NonConvergenceError when the reported error stays 50x above the
+    requested tolerance."""
     with warnings.catch_warnings():
         # judge by the reported error, not by QUADPACK's warning
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(func, lo, hi, epsabs=abs_tol, epsrel=rel_tol,
-                                  limit=QUAD_LIMIT)
+                                  limit=QUAD_LIMIT, points=points)
     if err > max(abs_tol, rel_tol * abs(val)) * 50.0:
         raise NonConvergenceError(
             f"reported error {err:.3g} exceeds tolerance for value {val:.6g}"
@@ -49,23 +53,17 @@ def _quad(func, lo, hi, rel_tol, abs_tol):
     return val
 
 
-def _loop_roots_conj(params, pops):
-    """Upper-half-plane zeros of the analytic continuation of s*(omega)."""
+# closest approach, in units of B = kappa + gamma_perp/2, of two poles of the
+# residue sum (i gamma_p and z_k - omega_a) that kernel_full_residues
+# accepts: near a pair its error grows like 1e-16 (B / gap)^2, 1.5e-13 at
+# a gap of 0.01 B
+RESIDUE_MIN_GAP = 0.01
+
+
+def _loop(params, pops):
+    """(s, s*) continued to complex arguments and their (A, B)."""
     a = 0.5 * params.kappa * params.gamma_perp * (1.0 - pops.inversion / params.n_threshold)
     b = params.kappa + 0.5 * params.gamma_perp
-    sq = np.sqrt(complex(4.0 * a - b * b))
-    return (1j * b + sq) / 2.0, (1j * b - sq) / 2.0, b
-
-
-def kernel_full_residues(params, pops, omega_a, omega_b):
-    """Residue-calculus oracle for the full-mode cumulant kernel.
-
-    Closing the Cauchy average in the upper half plane picks up the kernel
-    pole at i gamma_p plus the two zeros of the continued s*(omega + a);
-    exact for this rational integrand, fully independent of quadrature.
-    """
-    gamma = pops.gamma_p
-    z1, z2, b = _loop_roots_conj(params, pops)
 
     def s_of(z):
         return (1j * z - params.kappa) * (1j * z - 0.5 * params.gamma_perp) \
@@ -75,6 +73,30 @@ def kernel_full_residues(params, pops, omega_a, omega_b):
         return (-1j * z - params.kappa) * (-1j * z - 0.5 * params.gamma_perp) \
             - 0.5 * params.kappa * params.gamma_perp * pops.inversion / params.n_threshold
 
+    return s_of, sbar_of, a, b
+
+
+def kernel_full_residues(params, pops, omega_a, omega_b):
+    """Residue-calculus oracle for the full-mode cumulant kernel.
+
+    Closing the Cauchy average in the upper half plane picks up the kernel
+    pole at i gamma_p plus the two zeros z_k - omega_a of the continued
+    s*(omega + a); exact for this rational integrand, fully independent of
+    quadrature. Each residue divides by the distance between two of these
+    poles, so the sum cancels where they nearly coincide: at 4A = B^2
+    (z_1 = z_2, EX1 with P = 1, where it would return NaN) and at
+    gamma_p = Im z_k with omega_a = Re z_k. Its domain leaves both out:
+    ValueError when two poles lie within RESIDUE_MIN_GAP * B of each
+    other; kernel_full_adaptive covers those inputs.
+    """
+    gamma = pops.gamma_p
+    s_of, sbar_of, a, b = _loop(params, pops)
+    sq = np.sqrt(complex(4.0 * a - b * b))
+    z1, z2 = (1j * b + sq) / 2.0, (1j * b - sq) / 2.0
+    gap = min(abs(z1 - z2), abs(1j * gamma - z1 + omega_a), abs(1j * gamma - z2 + omega_a))
+    if gap < RESIDUE_MIN_GAP * b:
+        raise ValueError(f"two residue poles {gap:.3g} apart, below {RESIDUE_MIN_GAP} B")
+
     val = 1.0 / (s_of(1j * gamma + omega_b) * sbar_of(1j * gamma + omega_a))
     for zk in (z1, z2):
         dsbar = -2.0 * zk + 1j * b
@@ -82,6 +104,40 @@ def kernel_full_residues(params, pops, omega_a, omega_b):
         kern = (gamma / np.pi) / (wk * wk + gamma * gamma)
         val += 2j * np.pi * kern / (s_of(wk + omega_b) * dsbar)
     return pops.delta2_ne * val
+
+
+def kernel_full_adaptive(params, pops, omega_a, omega_b):
+    """Adaptive oracle for the full-mode cumulant kernel, with no exclusion.
+
+    x = gamma_p tan(theta) maps the Cauchy(gamma_p) density onto
+    d theta / pi on (-pi/2, pi/2), as perfbench/reference.py does. QUADPACK
+    integrates the real and imaginary parts of 1 / [s*(omega_a + x)
+    s(omega_b + x)] apart, split at the images of the line centres
+    x = Re z_k - omega_a and Re z_k - omega_b, to 1e-12 relative; the
+    absolute tolerance is tied to Int |integrand|, so a part that
+    vanishes (the imaginary part on the diagonal) still converges. Where
+    the map squeezes the lines into a sliver by +-pi/2 (gamma_p = 1.1e-4 at
+    omega = (30, -20)) QUADPACK cannot reach that and NonConvergenceError
+    is raised. Against 40-digit mpmath it agreed to 3e-12 or better at
+    |omega| <= 2, from gamma_par = 1e-4 to 1 and near threshold.
+    """
+    gamma = pops.gamma_p
+    s_of, sbar_of, a, b = _loop(params, pops)
+    centre = 0.5 * np.sqrt(max(4.0 * a - b * b, 0.0))
+    peaks = sorted({float(np.arctan((c - w) / gamma))
+                    for c in (centre, -centre) for w in (omega_a, omega_b)})
+
+    def f(th):
+        x = gamma * np.tan(th)
+        return 1.0 / (sbar_of(omega_a + x) * s_of(omega_b + x))
+
+    def part(g, rel_tol, abs_tol):
+        return _quad(g, -0.5 * np.pi, 0.5 * np.pi, rel_tol, abs_tol, points=peaks)
+
+    mass = part(lambda th: abs(f(th)), 1e-6, 1e-300)
+    val = part(lambda th: f(th).real, 1e-12, 1e-13 * mass) \
+        + 1j * part(lambda th: f(th).imag, 1e-12, 1e-13 * mass)
+    return pops.delta2_ne * val / np.pi
 
 
 def cumulant_delta_product_form(params, pops) -> float:
@@ -104,11 +160,11 @@ def mean_term_cancellation(params, pops) -> tuple[float, float]:
     here by different nesting orders: (a) nested adaptive quadrature that
     smooths c with the Cauchy kernel first, then integrates against
     |s|^-2; (b) the exact-convolution mean-photon path, which smooths the
-    inverse loop filter instead, on the tan-map grid and the log ring of
-    quadrature.smoothed_inverse_filter (the diagonal of the cumulant's
+    inverse loop filter instead, exactly, at the tan-map nodes
+    (quadrature.smoothed_inverse_filter, the diagonal of the cumulant's
     full kernel). The two sides share only the spectrum evaluators: (a)
     uses no fixed rule and smooths the other factor, so it checks the
-    tensor rule rather than repeating it. Returns (side_a, side_b);
+    outer rule and the residue sum rather than repeating them. Returns (side_a, side_b);
     agreement confirms the disconnected terms drop out of g2 exactly.
     """
     _check_below_threshold(params, pops)

@@ -23,11 +23,12 @@ from srled.g2 import (
     METHOD_FULL,
     _kernel_matrix,
 )
-from srled.quadrature import CUMULANT_NODES
+from srled.model import loop_coefficients
 
 from conftest import EX1_ORACLE
 from oracles import (
     cumulant_delta_product_form,
+    kernel_full_adaptive,
     kernel_full_residues,
     mean_term_cancellation,
 )
@@ -35,10 +36,21 @@ from oracles import (
 
 def kernel(params, pops, omega_a, omega_b, mode):
     """K(omega_a, omega_b) read from the kernel matrix that noise_cumulant
-    reduces, on the cumulant's ring."""
-    kmat = _kernel_matrix(params, pops, np.array([omega_a, omega_b]), mode,
-                          CUMULANT_NODES[1])
-    return complex(kmat[0, 1])
+    reduces."""
+    kmat = _kernel_matrix(params, pops, np.array([omega_a]), np.array([omega_b]), mode)
+    return complex(kmat[0, 0])
+
+
+def near_threshold(fraction):
+    """2 kappa/gamma_perp = 1, P = 3, N_th = 5: the inversion is fraction N_th."""
+    return ModelParams.from_ratio(1.0, gamma_par=0.1, pump=3.0, n_threshold=5.0,
+                                  n_emitters=10.0 * fraction)
+
+
+# 2 kappa/gamma_perp = 0.1, P = 1.5, N_th = 5, N_0 = 20, gamma_par = 0.01:
+# |s|^-2 has a narrow peak (A/B^2 = 0.0165) that the delta path misses
+NARROW_PEAK = ModelParams.from_ratio(0.1, gamma_par=0.01, pump=1.5, n_threshold=5.0,
+                                     n_emitters=20.0)
 
 
 class TestG2Closed:
@@ -80,13 +92,37 @@ class TestCumulantKernel:
             assert k_ab == pytest.approx(np.conj(k_ba), rel=1e-9)
 
     def test_full_mode_matches_residue_oracle(self, ex1):
-        for gamma_par in (1e-4, 1e-3, 1e-2, 0.1, 1.0):
-            params = dataclasses.replace(ex1, gamma_par=gamma_par)
+        cases = [dataclasses.replace(ex1, gamma_par=g) for g in (1e-4, 1e-3, 1e-2, 0.1, 1.0)]
+        cases += [near_threshold(0.9), near_threshold(0.99), NARROW_PEAK]
+        for params in cases:
             pops = derive_populations(params)
             for (a, b) in [(0.0, 0.0), (0.7, -0.3), (2.0, 1.5), (-1.2, 0.4)]:
-                quad = kernel(params, pops, a, b, "full")
+                exact = kernel(params, pops, a, b, "full")
                 res = kernel_full_residues(params, pops, a, b)
-                assert quad == pytest.approx(res, rel=1e-8), (gamma_par, a, b)
+                assert exact == pytest.approx(res, rel=1e-12), (params, a, b)
+
+    def test_full_mode_matches_adaptive_oracle_where_poles_meet(self, ex1):
+        # 4A = B^2 at P = 1 (N = 0): the zeros of s* coincide; gamma_p = B/2
+        # at gamma_par = 5/11: the Cauchy pole meets a zero at omega_a = Re z_k.
+        # The residue oracle refuses both; the kernel needs no special case.
+        double_root = dataclasses.replace(ex1, pump=1.0)
+        pops = derive_populations(double_root)
+        a, b = loop_coefficients(double_root, pops)
+        assert 4.0 * a == b * b
+        meeting = dataclasses.replace(ex1, gamma_par=5.0 / 11.0)
+        meeting_pops = derive_populations(meeting)
+        a, b = loop_coefficients(meeting, meeting_pops)
+        assert meeting_pops.gamma_p == pytest.approx(0.5 * b, rel=1e-15)
+        centre = 0.5 * np.sqrt(4.0 * a - b * b)
+        for params, points in ((double_root, [(0.0, 0.0), (0.7, -0.3), (-1.2, 0.4)]),
+                               (meeting, [(centre, 0.1), (-centre, centre), (0.9045, 0.3)])):
+            pops = derive_populations(params)
+            for (a, b) in points:
+                with pytest.raises(ValueError, match="residue poles"):
+                    kernel_full_residues(params, pops, a, b)
+                exact = kernel(params, pops, a, b, "full")
+                assert exact == pytest.approx(kernel_full_adaptive(params, pops, a, b),
+                                              rel=1e-10), (params, a, b)
 
     def test_full_approaches_delta_for_narrow_population(self, ex1):
         params = dataclasses.replace(ex1, gamma_par=0.007 * np.sqrt(ex1.kappa))

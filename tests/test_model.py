@@ -252,6 +252,13 @@ class TestGrids:
         with pytest.raises(InvalidParamsError):
             FrequencyGrid(omega_max=np.inf, n_points=5)
 
+    def test_point_count_must_be_an_integer(self):
+        # 5.5 is odd and >= 3 by the other checks; numpy integers pass
+        with pytest.raises(InvalidParamsError, match="n_points must be an integer"):
+            FrequencyGrid(omega_max=10.0, n_points=5.5)
+        grid = FrequencyGrid(omega_max=10.0, n_points=np.int64(5))
+        assert grid.omegas().size == 5
+
     def test_point_count_budget(self):
         # refused before any array is allocated; the budget itself is accepted
         assert FrequencyGrid(omega_max=1.0, n_points=MAX_GRID_POINTS).n_points == MAX_GRID_POINTS

@@ -169,11 +169,10 @@ class TestMeanPhotonQuadrature:
         # one Cauchy smoothing: exact n is the diagonal of the full kernel
         from srled.g2 import _kernel_matrix
         from srled.model import fluctuation_coupling
-        from srled.quadrature import EXACT_N_NODES, commutator_rule
+        from srled.quadrature import OUTER_NODES, commutator_rule
 
-        n_outer, per_unit = EXACT_N_NODES
-        omega, wc = commutator_rule(ex1, ex1_pops, n_outer)
-        kdiag = np.diag(_kernel_matrix(ex1, ex1_pops, omega, "full", per_unit))
+        omega, wc = commutator_rule(ex1, ex1_pops, OUTER_NODES)
+        kdiag = np.diag(_kernel_matrix(ex1, ex1_pops, omega, omega, "full"))
         expected = fluctuation_coupling(ex1) ** 2 / (2.0 * np.pi) * float(wc @ kdiag.real)
         assert np.all(np.abs(kdiag.imag) <= 1e-14 * kdiag.real)
         quad = mean_photon_quadrature(ex1, ex1_pops, mode="exact")

@@ -2,6 +2,7 @@
 rules of the population-smoothed paths."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -12,16 +13,14 @@ from srled import (
     NonConvergenceError,
     commutator_spectrum,
     derive_populations,
+    g2_bruteforce,
     integrate_1d,
-    noise_cumulant,
+    mean_photon_quadrature,
 )
-from srled import quadrature
-from srled.model import loop_denominator, widest_rate
+from srled import g2, photon
+from srled.model import loop_coefficients, loop_denominator, widest_rate
 from srled.quadrature import (
-    CUMULANT_NODES,
-    EXACT_N_NODES,
-    commutator_rule,
-    log_ring_rule,
+    OUTER_NODES,
     smoothed_inverse_filter,
     tan_map_rule,
 )
@@ -97,12 +96,11 @@ class TestTanMapRule:
             assert np.array_equal(omega, ref_omega)
             assert np.array_equal(weights, ref_weights)
 
-    @pytest.mark.parametrize("n_nodes", sorted({n for rule in (CUMULANT_NODES, EXACT_N_NODES)
-                                                for n in (rule[0], rule[0] // 2)}))
+    @pytest.mark.parametrize("n_nodes", [OUTER_NODES // 2, OUTER_NODES])
     @pytest.mark.parametrize("scale", [1.0, 0.37])
     def test_nodes_are_odd(self, scale, n_nodes):
         # the tensor rules' outer grids are their own mirrors, so
-        # smoothed_inverse_filter walks the ring for each node only once
+        # noise_cumulant(mode="full") forms the kernel on the rows a > 0 only
         omega, _ = tan_map_rule(scale, n_nodes)
         assert np.array_equal(omega, -omega[::-1])
 
@@ -116,48 +114,85 @@ class TestTanMapRule:
         assert np.array_equal(again[1], ref_weights)
 
 
-class TestSmoothedInverseFilter:
-    @staticmethod
-    def direct(params, pops, omega, per_unit):
-        """The ring sum with 1/s evaluated at omega + nu and at omega - nu:
-        center G(0) + sum_k w_k [G(nu_k) + G(-nu_k)], no mirror identity."""
-        nodes, ring_w, center = log_ring_rule(pops.gamma_p, widest_rate(params, pops),
-                                              per_unit)
-        nu = np.concatenate((nodes, -nodes))[:, None]
-        rows = np.sqrt(np.tile(ring_w, 2))[:, None] / loop_denominator(params, pops, omega + nu)
-        inv0 = 1.0 / loop_denominator(params, pops, omega)
-        return center * np.outer(np.conj(inv0), inv0) + np.conj(rows).T @ rows
+def _grid(params, pops, grid):
+    if grid == "not mirror-closed":
+        return np.array([0.7, -0.3, 2.0])
+    return tan_map_rule(widest_rate(params, pops), grid)[0]
 
+
+class TestSmoothedInverseFilter:
     @pytest.mark.parametrize("gamma_par", [1e-4, 0.1, 1.0])
     @pytest.mark.parametrize("grid", [200, 100, 7, "not mirror-closed"])
-    def test_matches_direct_ring_sum(self, ex1, grid, gamma_par):
+    def test_hermitian_and_mirror(self, ex1, grid, gamma_par):
+        # K(b, a) = conj K(a, b) and, as s(-w) = conj s(w), K(-a, -b) =
+        # conj K(a, b), to rounding: 2e-15 of the Cauchy-Schwarz bound
+        # sqrt(K(a, a) K(b, b)), which |K(a, b)| does not exceed
         params = dataclasses.replace(ex1, gamma_par=gamma_par)
         pops = derive_populations(params)
-        if grid == "not mirror-closed":
-            omega = np.array([0.7, -0.3, 2.0])
-        else:
-            omega = tan_map_rule(widest_rate(params, pops), grid)[0]
-        for per_unit in (CUMULANT_NODES[1], EXACT_N_NODES[1]):
-            ref = self.direct(params, pops, omega, per_unit)
-            full = smoothed_inverse_filter(params, pops, omega, per_unit)
-            diag = smoothed_inverse_filter(params, pops, omega, per_unit, diagonal=True)
-            np.testing.assert_allclose(full, ref, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(diag, np.diag(ref).real, rtol=1e-12, atol=0.0)
+        omega = _grid(params, pops, grid)
+        kmat = smoothed_inverse_filter(params, pops, omega[:, None], omega)
+        diag = smoothed_inverse_filter(params, pops, omega, omega).real
+        bound = np.sqrt(np.outer(diag, diag))
+        assert np.all(np.abs(kmat) <= bound * (1.0 + 1e-15))
+        assert np.all(np.abs(kmat - np.conj(kmat).T) <= 2e-15 * bound)
+        mirrored = smoothed_inverse_filter(params, pops, -omega[:, None], -omega)
+        assert np.all(np.abs(mirrored - np.conj(kmat)) <= 2e-15 * bound)
 
-    def test_full_cumulant_shifts_each_outer_node_once_per_ring_node(self, ex1, ex1_pops,
-                                                                     monkeypatch):
-        evaluated = []
+    @pytest.mark.parametrize("gamma_par", [1e-4, 0.1, 1.0])
+    def test_diagonal_is_real_positive_and_on_the_matrix(self, ex1, gamma_par):
+        # K(a, a) = E|s(a + X)|^-2; the elementwise call at (omega, omega)
+        # is the diagonal of the matrix on omega
+        params = dataclasses.replace(ex1, gamma_par=gamma_par)
+        pops = derive_populations(params)
+        omega = _grid(params, pops, OUTER_NODES)
+        diag = smoothed_inverse_filter(params, pops, omega, omega)
+        assert np.all(diag.real > 0.0)
+        assert np.all(np.abs(diag.imag) <= 1e-15 * diag.real)
+        kmat = smoothed_inverse_filter(params, pops, omega[:, None], omega)
+        np.testing.assert_allclose(np.diag(kmat), diag, rtol=1e-15, atol=0.0)
 
-        def counting(params, pops, omega):
-            evaluated.append(np.size(omega))
-            return loop_denominator(params, pops, omega)
+    def test_narrow_population_limit(self, ex1):
+        # gamma_p -> 0 leaves the unsmoothed conj(1/s(a)) / s(b); the
+        # Cauchy tails move K by about gamma_p max(1, omega^2), so the
+        # nodes stay within a few widest rates
+        omega = np.linspace(-3.0, 3.0, 13)
+        for gamma_par, tol in ((1e-6, 1e-3), (1e-12, 1e-9)):
+            params = dataclasses.replace(ex1, gamma_par=gamma_par)
+            pops = derive_populations(params)
+            inv = 1.0 / loop_denominator(params, pops, omega)
+            np.testing.assert_allclose(smoothed_inverse_filter(params, pops, omega[:, None], omega),
+                                       np.outer(np.conj(inv), inv), rtol=tol, atol=0.0)
 
-        monkeypatch.setattr(quadrature, "loop_denominator", counting)
-        noise_cumulant(ex1, ex1_pops, mode="full")
-        # fine and coarse rules of quadrature.refined: one unshifted filter
-        # and one per ring node at each outer node, not two (+nu and -nu)
-        expected = 0
-        for n_outer, per_unit in (CUMULANT_NODES, tuple(n // 2 for n in CUMULANT_NODES)):
-            ring = log_ring_rule(ex1_pops.gamma_p, widest_rate(ex1, ex1_pops), per_unit)[0]
-            expected += (ring.size + 1) * commutator_rule(ex1, ex1_pops, n_outer)[0].size
-        assert sum(evaluated) == expected
+    def test_kernel_work_per_refined_level(self, ex1, ex1_pops, monkeypatch):
+        # g2_bruteforce(mode="full") forms, at OUTER_NODES and at half as
+        # many, the rows a > 0 of the cumulant kernel and the diagonal for
+        # exact n: n^2 / 2 + n kernel values per level, nothing more
+        counted = []
+
+        def counting(params, pops, omega_a, omega_b):
+            counted.append(np.broadcast(omega_a, omega_b).size)
+            return smoothed_inverse_filter(params, pops, omega_a, omega_b)
+
+        monkeypatch.setattr(g2, "smoothed_inverse_filter", counting)
+        monkeypatch.setattr(photon, "smoothed_inverse_filter", counting)
+        g2_bruteforce(ex1, ex1_pops, mode="full")
+        levels = (OUTER_NODES, OUTER_NODES // 2)
+        assert sorted(counted) == sorted([n * n // 2 for n in levels] + list(levels))
+
+    def test_no_warning_where_poles_meet(self, ex1):
+        # P = 1 gives N = 0 and 4A = B^2, a double zero of s*; gamma_par =
+        # 5/11 gives gamma_p = B/2, so the Cauchy pole i gamma_p meets a zero
+        # z_k - omega_a at omega_a = Re z_k. Neither needs a special case.
+        for params in (dataclasses.replace(ex1, pump=1.0),
+                       dataclasses.replace(ex1, gamma_par=5.0 / 11.0)):
+            pops = derive_populations(params)
+            a, b = loop_coefficients(params, pops)
+            centre = 0.5 * np.sqrt(max(4.0 * a - b * b, 0.0))
+            omega = np.concatenate((_grid(params, pops, OUTER_NODES), [centre, -centre]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                kmat = smoothed_inverse_filter(params, pops, omega[:, None], omega)
+                g2_full = g2_bruteforce(params, pops, mode="full").g2
+                n_exact = mean_photon_quadrature(params, pops, mode="exact").n_total
+            assert np.all(np.isfinite(kmat))
+            assert 2.0 < g2_full < 6.0 and n_exact > 0.0
