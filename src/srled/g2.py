@@ -14,10 +14,9 @@ field component from c(omega), s(omega) and the population spectrum alone,
 
 and assembles g2 = 2 + (kappa gamma_perp / N_th)^4 C / n^2 with n computed
 by the matching quadrature mode. K is formed on the outer tan-map nodes
-only: in the full mode it is the Cauchy-smoothed inverse loop filter of
-quadrature.smoothed_inverse_filter, an exact residue sum whose diagonal
-also gives the exact n. K(-a, -b) = conj K(a, b), and the tan-map grid is
-its own mirror, so the full mode forms and sums only the rows a > 0.
+only: in the full mode it is quadrature.smoothed_inverse_filter, the exact
+Cauchy-smoothed inverse loop filter. K(-a, -b) = conj K(a, b), the tan-map
+grid is its own mirror, so the full mode forms and sums only the rows a > 0.
 In the delta mode the population spectrum collapses to a point mass and C
 must equal [2 delta2_ne (2 pi)^-1 Int c/|s|^2]^2; agreement of the two
 paths is a genuine cross-check of the cumulant algebra.

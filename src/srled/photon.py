@@ -12,10 +12,8 @@ divided by n0, under the narrow-population-spectrum approximation. The
 quadrature paths recompute n independently, either with that approximation
 ("delta", adaptive QUADPACK) or with the full convolution of the commutator
 and population spectra ("exact"), and must agree with the closed form in the
-delta mode. The exact mode smooths the inverse loop filter over the
-population Lorentzian with quadrature.smoothed_inverse_filter, the exact
-residue sum the full-Lorentzian cumulant of srled.g2 uses too: n is the
-diagonal of that cumulant's kernel integrated against c.
+delta mode. The exact fluctuation term is a rational function of
+(A, B, kappa, gamma_p) whose gamma_p -> 0 limit is n0 Delta_n.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, NonConvergenceError
 from .model import (
     ModelParams,
     Populations,
@@ -32,15 +30,10 @@ from .model import (
     commutator_spectrum,
     fluctuation_coupling,
     loop_abs2,
+    loop_coefficients,
     zero_order_level,
 )
-from .quadrature import (
-    OUTER_NODES,
-    commutator_rule,
-    integrate_1d,
-    refined,
-    smoothed_inverse_filter,
-)
+from .quadrature import integrate_1d
 
 METHOD_CLOSED = "closed-form"
 METHOD_DELTA = "quadrature-delta-approx"
@@ -115,19 +108,27 @@ def _fluctuation_delta_quadrature(params, pops):
 
 
 def _fluctuation_exact(params, pops):
-    """Cauchy-smoothed fluctuation term: delta2_ne coup^2 E_X[h(X)].
+    """delta2_ne coup^2 (2 pi)^-1 Int (c * L)/|s|^2, L the Cauchy(gamma_p) density:
 
-    h(x) = (2 pi)^-1 Int c(w)/|s(w + x)|^2 dw and X is Cauchy(gamma_p):
-    the tan-map rule over w against the exact smoothed inverse filter
-    K(w_j, w_j), at OUTER_NODES with the quadrature.refined error estimate.
+        delta2_ne coup^2 [2B^2 + (4 kappa + 2) A + (4 kappa + 3) B gamma_p
+        + (2 kappa + 1) gamma_p^2] / [2AB^2 (B + gamma_p)(4A + 2B gamma_p + gamma_p^2)]
+
+    with A, B from loop_coefficients. c and |s|^-2 are sums of Lorentzians
+    2x/(omega^2 + x^2) at the roots x+- of x^2 - B x + A, weights c_j and
+    g_k. The Cauchy average multiplies the Fourier transform of c, a sum of
+    e^(-x|t|), by e^(-gamma_p |t|); by Parseval the integral is
+    2 Sum_jk c_j g_k / (x_j + x_k + gamma_p), symmetric in x+-, so a function
+    of x+ + x- = B and x+ x- = A: no roots, no special case at 4A = B^2, no
+    cancellation as gamma_p -> 0, where it is mean_photon_closed's n0 Delta_n.
+    Every term is positive, so rounding stays below 32 eps relative of the
+    value for the given A and B; that bound is the error.
     """
-    scale = pops.delta2_ne * fluctuation_coupling(params) ** 2 / (2.0 * np.pi)
-
-    def evaluate(n_nodes):
-        omega, wc = commutator_rule(params, pops, n_nodes)
-        return scale * float(wc @ smoothed_inverse_filter(params, pops, omega, omega).real)
-
-    return refined(evaluate, OUTER_NODES)
+    a, b = loop_coefficients(params, pops)
+    g, k = pops.gamma_p, params.kappa
+    num = 2.0 * b * b + (4.0 * k + 2.0) * a + ((4.0 * k + 3.0) * b + (2.0 * k + 1.0) * g) * g
+    den = 2.0 * a * b * b * (b + g) * (4.0 * a + (2.0 * b + g) * g)
+    val = pops.delta2_ne * fluctuation_coupling(params) ** 2 * num / den
+    return val, 32.0 * np.finfo(float).eps * val
 
 
 def mean_photon_quadrature(params: ModelParams, pops: Populations,
@@ -137,11 +138,10 @@ def mean_photon_quadrature(params: ModelParams, pops: Populations,
     mode="delta" integrates the delta-approximation spectrum adaptively and
     must match mean_photon_closed to 1e-5 relative; mode="exact" replaces
     c(omega) delta2_ne by the full convolution with the Lorentzian
-    population spectrum and reports the (physical) discrepancy. In both
-    modes n0 is an adaptive integral at the default tolerances of
-    integrate_1d (1e-10 relative, 1e-13 absolute). The exact fluctuation
-    term is a fixed outer rule over an exact inner average (see
-    _fluctuation_exact); its error is a node-halving refinement estimate.
+    population spectrum, in closed form (_fluctuation_exact), and reports
+    the (physical) discrepancy. n0 is an adaptive integral at the default
+    tolerances of integrate_1d; one that is not positive raises
+    NonConvergenceError.
     """
     _check_below_threshold(params, pops)
     if mode not in ("delta", "exact"):
@@ -153,6 +153,10 @@ def mean_photon_quadrature(params: ModelParams, pops: Populations,
         fluct, fluct_err = _fluctuation_delta_quadrature(params, pops)
     else:
         fluct, fluct_err = _fluctuation_exact(params, pops)
+    if pops.n_excited > 0.0 and not (n0 > 0.0 and fluct >= 0.0):
+        # both integrands are positive; QUADPACK misses the peak of 1/|s|^2 at
+        # sqrt(A) at EX1 with N_0 = 1e12, where n0 came out as -8.6e-13 +- 1e-15
+        raise NonConvergenceError(f"n0 {n0:.3g}, fluctuation term {fluct:.3g}: not positive")
     total = n0 + fluct
     delta_n = fluct / n0 if n0 > 0.0 else 0.0
     method = METHOD_DELTA if mode == "delta" else METHOD_EXACT

@@ -1,4 +1,4 @@
-"""Adaptive integration and the fixed rules of the population-smoothed paths.
+"""Adaptive integration and the fixed rules of the full-Lorentzian cumulant.
 
 Adaptive 1-D integrals of real integrands over the whole real line are
 backed by QUADPACK (scipy.integrate); ``integrate_1d`` takes the relative
@@ -6,8 +6,7 @@ and absolute tolerances as keywords, refuses a nonpositive or NaN one with
 InvalidParamsError and turns unreported convergence into a
 NonConvergenceError. Every adaptive integral runs over the whole line; an
 integrand that lives on a finite range is mapped onto it by the caller.
-The hot paths of every full-Lorentzian (population-smoothed) quantity live
-here too:
+The fourth-order cumulant of srled.g2 takes its fixed rules from here:
 
 * ``tan_map_rule``: Gauss-Legendre on the whole real line through
   omega = scale * tan(phi), exponentially convergent for the rational
@@ -17,9 +16,7 @@ here too:
   on that map,
 * ``smoothed_inverse_filter``: the Cauchy(gamma_p) average of
   conj(1/s(omega_a + X)) / s(omega_b + X), exact in closed form: the
-  average of a rational function is a finite residue sum. The exact mean
-  photon number takes it at omega_a = omega_b, the fourth-order cumulant
-  on the whole outer grid,
+  average of a rational function is a finite residue sum,
 * ``refined``: the node-halving error estimate of the outer rule.
 """
 
@@ -97,9 +94,9 @@ def tan_map_rule(scale: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return scale * tan, scale * 0.5 * np.pi * w / cos2
 
 
-# tan-map node count of the outer rule of both tensor rules, the exact mean
-# photon number and the fourth-order cumulant (g2.noise_cumulant and
-# g2_bruteforce); quadrature.refined checks it against half as many
+# tan-map node count of the outer rule of both tensor rules of the
+# fourth-order cumulant (g2.noise_cumulant and g2_bruteforce);
+# quadrature.refined checks it against half as many
 OUTER_NODES = 200
 
 

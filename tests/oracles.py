@@ -15,10 +15,15 @@ and convergence check.
   square of a 1-D integral,
 * ``mean_term_cancellation``: the exact-convolution n of
   mean_photon_quadrature against nested adaptive quadrature that smooths
-  the other factor.
+  the other factor,
+* ``reference_exact_n``: the nested-QUADPACK exact n of
+  perfbench/reference.py, loaded by path.
 """
 
+import functools
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate
@@ -157,15 +162,12 @@ def mean_term_cancellation(params, pops) -> tuple[float, float]:
     part and the squared-mean subtraction.
 
     Both equal [(2 pi)^-1 Int (c * pop)(w) / |s(w)|^2 dw] but are evaluated
-    here by different nesting orders: (a) nested adaptive quadrature that
-    smooths c with the Cauchy kernel first, then integrates against
-    |s|^-2; (b) the exact-convolution mean-photon path, which smooths the
-    inverse loop filter instead, exactly, at the tan-map nodes
-    (quadrature.smoothed_inverse_filter, the diagonal of the cumulant's
-    full kernel). The two sides share only the spectrum evaluators: (a)
-    uses no fixed rule and smooths the other factor, so it checks the
-    outer rule and the residue sum rather than repeating them. Returns (side_a, side_b);
-    agreement confirms the disconnected terms drop out of g2 exactly.
+    here by different routes: (a) nested adaptive quadrature that smooths
+    c with the Cauchy kernel first, then integrates against |s|^-2; (b) the
+    exact-convolution mean-photon path, a closed form in (A, B, kappa,
+    gamma_p). The two sides share only the spectrum evaluators. Returns
+    (side_a, side_b); agreement confirms the disconnected terms drop out
+    of g2 exactly.
     """
     _check_below_threshold(params, pops)
     gamma = pops.gamma_p
@@ -187,3 +189,23 @@ def mean_term_cancellation(params, pops) -> tuple[float, float]:
     mp = mean_photon_quadrature(params, pops, mode="exact")
     side_b = (mp.n_total - mp.n0) / fluctuation_coupling(params) ** 2
     return side_a, side_b
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+
+
+@functools.lru_cache(maxsize=1)
+def _reference():
+    spec = importlib.util.spec_from_file_location("srled_exact_reference", REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def reference_exact_n(params) -> tuple[float, float]:
+    """(n, error estimate) of the exact-convolution mean photon number by
+    the nested QUADPACK of perfbench/reference.py, which imports nothing
+    from srled. 0.07-0.4 s at 0.5-0.999 N_th, 1-2.5 s at EX1 with
+    N_0 = 1e5-1e6; at gamma_par = 1e-4 it is off by about 4e-8."""
+    return _reference().exact_mean_photon(params.kappa, params.gamma_par, params.pump,
+                                          params.n_threshold, params.n_emitters)

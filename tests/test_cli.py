@@ -187,6 +187,12 @@ def test_above_threshold_is_clean_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_nonpositive_quadrature_n_is_clean_error(capsys):
+    # at N_0 = 1e12 the adaptive n0 misses its resonance and comes out negative
+    assert main(["mean-photon", "--n-emitters", "1e12"]) == 2
+    assert ": not positive" in capsys.readouterr().err
+
+
 def test_invalid_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")

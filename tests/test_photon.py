@@ -1,7 +1,9 @@
 """Mean photon number: closed form against the quadrature paths."""
 
 import dataclasses
+import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from srled import (
     AboveThresholdError,
     ModelParams,
+    NonConvergenceError,
     derive_populations,
     integrate_1d,
     mean_photon_closed,
@@ -17,9 +20,57 @@ from srled import (
     photon_number_spectrum,
     validity_ratio,
 )
+from srled.model import loop_coefficients
 from srled.photon import METHOD_CLOSED, METHOD_DELTA, METHOD_EXACT
+from srled.validation import EX1
 
 from conftest import EX1_ORACLE, N_EXACT_SCAN
+from oracles import reference_exact_n
+
+
+# points where the exact n is checked against perfbench/reference.py; near
+# threshold, 2 kappa/gamma_perp = 1, P = 3, N_th = 5 and N_0 = 10 f put the
+# inversion at f N_th
+REFERENCE_POINTS = {
+    **{f"{f} N_th": dataclasses.replace(EX1, pump=3.0, n_emitters=10.0 * f)
+       for f in (0.5, 0.9, 0.99, 0.999)},
+    "FOUND point": ModelParams(kappa=0.05, gamma_par=0.01, pump=1.5,
+                               n_threshold=5.0, n_emitters=20.0),
+    **{f"P = {p!r}": dataclasses.replace(EX1, pump=p) for p in (1.0, 1.0 - 1e-6, 1.0 + 1e-6)},
+    **{f"N_0 = {n:g}": dataclasses.replace(EX1, n_emitters=n) for n in (1e5, 1e6)},
+}
+
+
+def _mpmath_exact_n(kappa, gamma_par, pump, n_threshold, n_emitters):
+    """Exact-convolution n to 30 digits, written out from the model.
+
+    c(w) = (2 kappa w^2 + A)/|s(w)|^2 and |s(w)|^2 = (w^2 + x+^2)(w^2 + x-^2),
+    x+- the roots of x^2 - B x + A, so c is a sum of Lorentzians
+    h_j 2 x_j/(w^2 + x_j^2). Its Cauchy(gamma_p) average c * L widens each
+    to x_j + gamma_p, and mpmath.quad integrates [z0 + coup^2 delta2_ne
+    (c * L)]/|s|^2 at the working precision. The inputs are read as decimal
+    strings.
+    """
+    k, gp, p, nth, n0 = (mpmath.mpf(v) for v in (kappa, gamma_par, pump, n_threshold,
+                                                 n_emitters))
+    n_e = p * n0 / (p + 1)
+    inversion = n_e - (n0 - n_e)
+    gamma = gp * (p + 1)
+    a = k / 2 * (1 - inversion / nth)
+    b = k + mpmath.mpf(1) / 2
+    root = mpmath.sqrt(mpmath.mpc(b * b - 4 * a))
+    rates = ((b + root) / 2, (b - root) / 2)
+    h = [(a - 2 * k * x * x) / (2 * x * (y * y - x * x)) for x, y in (rates, rates[::-1])]
+
+    def integrand(w):
+        smoothed_c = sum(hj * 2 * (x + gamma) / (w * w + (x + gamma) ** 2)
+                         for hj, x in zip(h, rates))
+        zero_order = k * n_e / (2 * nth)
+        return (zero_order + (k / nth) ** 2 * n_e / (p + 1) * smoothed_c.real) \
+            / ((a - w * w) ** 2 + (b * w) ** 2)
+
+    # the integrand is even in w
+    return mpmath.quad(integrand, [0, 0.5, 1, 2, mpmath.inf]) / mpmath.pi
 
 
 class TestPhotonSpectrum:
@@ -162,11 +213,72 @@ class TestMeanPhotonQuadrature:
     def test_exact_error_estimate_is_honest_on_scan(self, ex1, gamma_par):
         params = dataclasses.replace(ex1, gamma_par=gamma_par)
         quad = mean_photon_quadrature(params, derive_populations(params), mode="exact")
+        assert quad.n_total == pytest.approx(N_EXACT_SCAN[gamma_par], rel=1e-12)
         assert abs(quad.n_total - N_EXACT_SCAN[gamma_par]) <= 10.0 * quad.error
         assert quad.error <= 1e-6 * quad.n_total
 
+    def test_mpmath_backs_smallest_gamma_par_of_scan(self):
+        # the nested QUADPACK of perfbench/reference.py is off by 3.7e-8 here
+        with mpmath.workdps(30):
+            val = _mpmath_exact_n("0.5", "1e-4", "0.1", "5", "20")
+            assert abs(val - mpmath.mpf("0.0539108453411917096")) < mpmath.mpf("1e-19")
+        assert N_EXACT_SCAN[1e-4] == pytest.approx(float(val), rel=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_POINTS))
+    def test_exact_matches_nested_reference(self, name):
+        # near threshold, at the FOUND point, where 4A = B^2 (P = 1) and
+        # around it, and at large N_0
+        params = REFERENCE_POINTS[name]
+        reference, _ = reference_exact_n(params)
+        quad = mean_photon_quadrature(params, derive_populations(params), mode="exact")
+        assert quad.n_total == pytest.approx(reference, rel=1e-11)
+        assert abs(quad.n_total - reference) <= 10.0 * quad.error
+
+    @settings(max_examples=100, deadline=None)
+    @given(ratio=st.floats(0.1, 10.0), near=st.booleans(), fraction=st.floats(0.5, 0.999),
+           log_ab2=st.floats(-3.0, 3.0), m=st.floats(0.05, 0.9), log_n0=st.floats(0.0, 6.0),
+           log_gamma_par=st.floats(-4.0, 0.0))
+    def test_exact_above_n0_and_closed_in_narrow_limit(self, ratio, near, fraction, log_ab2,
+                                                          m, log_n0, log_gamma_par):
+        # the inversion N/N_th is drawn either in 0.5-0.999, or from
+        # A/B^2 = kappa (1 - N/N_th) / 2 B^2 in [1e-3, 1e3]
+        kappa = 0.5 * ratio
+        if not near:
+            fraction = 1.0 - 2.0 * 10.0 ** log_ab2 * (kappa + 0.5) ** 2 / kappa
+            if fraction == 0.0:
+                return
+        # P = (1 + m)/(1 - m) gives N = N_0 m, of the sign of the fraction
+        m = math.copysign(m, fraction)
+        n_emitters = 10.0 ** log_n0
+        shape = dict(kappa=kappa, pump=(1.0 + m) / (1.0 - m),
+                     n_threshold=n_emitters * m / fraction, n_emitters=n_emitters)
+        params = ModelParams(gamma_par=10.0 ** log_gamma_par, **shape)
+        quad = mean_photon_quadrature(params, derive_populations(params), mode="exact")
+        assert math.isfinite(quad.n_total) and quad.n_total > quad.n0
+        # as gamma_p -> 0 the exact term tends to n0 Delta_n; it moves from
+        # it at first order by about gamma_p B/(2A), gamma_p over the slow
+        # rate x- ~ A/B
+        params = ModelParams(gamma_par=1e-12, **shape)
+        pops = derive_populations(params)
+        quad = mean_photon_quadrature(params, pops, mode="exact")
+        closed = mean_photon_closed(params, pops)
+        a, b = loop_coefficients(params, pops)
+        assert quad.n0 * quad.delta_n == pytest.approx(
+            closed.n0 * closed.delta_n, rel=1e-9 + pops.gamma_p * b / a)
+
+    def test_nonpositive_quadrature_n_is_refused(self, ex1):
+        # at N_0 = 1e12 QUADPACK misses the resonance of 1/|s|^2 at
+        # omega ~ sqrt(A) and n0 came out negative; the closed n is 0.0657
+        params = dataclasses.replace(ex1, n_emitters=1e12)
+        pops = derive_populations(params)
+        assert mean_photon_closed(params, pops).n_total == pytest.approx(0.0657, rel=1e-3)
+        for mode in ("delta", "exact"):
+            with pytest.raises(NonConvergenceError):
+                mean_photon_quadrature(params, pops, mode=mode)
+
     def test_exact_fluctuation_is_cumulant_kernel_diagonal(self, ex1, ex1_pops):
-        # one Cauchy smoothing: exact n is the diagonal of the full kernel
+        # the full cumulant's production kernel on its diagonal, under its
+        # outer rule, against the closed form of exact n
         from srled.g2 import _kernel_matrix
         from srled.model import fluctuation_coupling
         from srled.quadrature import OUTER_NODES, commutator_rule

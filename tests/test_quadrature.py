@@ -17,7 +17,7 @@ from srled import (
     integrate_1d,
     mean_photon_quadrature,
 )
-from srled import g2, photon
+from srled import g2
 from srled.model import loop_coefficients, loop_denominator, widest_rate
 from srled.quadrature import (
     OUTER_NODES,
@@ -202,8 +202,8 @@ class TestSmoothedInverseFilter:
 
     def test_kernel_work_per_refined_level(self, ex1, ex1_pops, monkeypatch):
         # g2_bruteforce(mode="full") forms, at OUTER_NODES and at half as
-        # many, the rows a > 0 of the cumulant kernel and the diagonal for
-        # exact n: n^2 / 2 + n kernel values per level, nothing more
+        # many, the rows a > 0 of the cumulant kernel: n^2 / 2 kernel values
+        # per level, nothing more (exact n is a closed form)
         counted = []
 
         def counting(params, pops, omega_a, omega_b):
@@ -211,10 +211,8 @@ class TestSmoothedInverseFilter:
             return smoothed_inverse_filter(params, pops, omega_a, omega_b)
 
         monkeypatch.setattr(g2, "smoothed_inverse_filter", counting)
-        monkeypatch.setattr(photon, "smoothed_inverse_filter", counting)
         g2_bruteforce(ex1, ex1_pops, mode="full")
-        levels = (OUTER_NODES, OUTER_NODES // 2)
-        assert sorted(counted) == sorted([n * n // 2 for n in levels] + list(levels))
+        assert sorted(counted) == sorted(n * n // 2 for n in (OUTER_NODES, OUTER_NODES // 2))
 
     def test_no_warning_where_poles_meet(self, ex1):
         # P = 1 gives N = 0 and 4A = B^2, a double zero of s*; gamma_par =
