@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
 import sys
 import time
 from pathlib import Path
@@ -24,6 +23,7 @@ from .model import (
     commutator_spectrum,
     derive_populations,
     population_spectrum,
+    slow_pole_ratio,
     validity_ratio,
 )
 from .montecarlo import MonteCarloConfig, _stripes, run_monte_carlo
@@ -108,6 +108,7 @@ def _cmd_mean_photon(args) -> int:
         print(f"n0 = {res.n0:.8g}  delta_n = {res.delta_n:.8g}  "
               f"n = {res.n_total:.8g}  [{res.method}]")
     print(f"validity_ratio = {validity_ratio(params):.6g}")
+    print(f"slow_pole_ratio = {slow_pole_ratio(params, pops):.6g}")
     return 0
 
 
@@ -122,6 +123,7 @@ def _cmd_g2(args) -> int:
         print(f"g2 = {res.g2:.8g}  cumulant = {res.cumulant:.8g}  "
               f"error ~ {res.error:.2g}  [{res.method}]")
     print(f"validity_ratio = {validity_ratio(params):.6g}")
+    print(f"slow_pole_ratio = {slow_pole_ratio(params, pops):.6g}")
     return 0
 
 
@@ -129,9 +131,6 @@ def _cmd_mc(args) -> int:
     params = _resolve_params(args)
     pops = derive_populations(params)
     config = MonteCarloConfig.for_model(params, pops, n_records=args.records, seed=args.seed)
-    # the first record loads scipy.signal (~0.5 s); load it here, so that
-    # the wall time and samples/s below are the ensemble's alone
-    importlib.import_module("scipy.signal")
     t0 = time.perf_counter()
     est = run_monte_carlo(params, pops, config)
     wall = time.perf_counter() - t0

@@ -246,6 +246,17 @@ def slowest_rate(params: ModelParams, pops: Populations) -> float:
     return 0.5 * b if disc <= 0.0 else 2.0 * a / (b + math.sqrt(disc))
 
 
+def slow_pole_ratio(params: ModelParams, pops: Populations) -> float:
+    """gamma_p / x-, the population spectrum's width over the slowest loop rate.
+
+    The closed forms also need this small: near threshold x- ~ A/B -> 0,
+    so the loop's slow pole can be narrower than the population Lorentzian
+    while validity_ratio stays small (at gamma_par = 0.1 and 0.99 N_th it
+    is 0.14, and this ratio 160). The CLI prints it.
+    """
+    return pops.gamma_p / slowest_rate(params, pops)
+
+
 def widest_rate(params: ModelParams, pops: Populations) -> float:
     """max(kappa, gamma_perp, sqrt(kappa gamma_perp (1 + |N|/N_th)))."""
     return max(

@@ -41,9 +41,10 @@ constants. It then synthesizes records in chunks of consecutive records.
 Each row of a chunk is drawn from its own record stream (colored noise,
 then OU innovations: three normals per sample; the drive alone, two per
 sample, without a population channel), the whole chunk is transformed at
-once (FFTs and the AR(1) filter along the last axis, arithmetic in place),
-and each row is reduced to its conditional <|a|^2> and <|a|^4> before the
-worker takes its next chunk. The chunks are striped over one
+once (FFTs and the AR(1) solve along the last axis, arithmetic in place),
+and each row is reduced to its conditional <|a|^2> and <|a|^4>, with
+|a|^2 written over the spent innovations, before the worker takes its next
+chunk. The chunks are striped over one
 worker per CPU the process may use: the calling thread and a thread pool,
 each worker with its own buffers. Each record's two means are written at
 its record index in two preallocated arrays, so the workers need no join
@@ -64,15 +65,16 @@ gamma_p, or the slow pole of 1/s near threshold, needs records of about
 50/gamma_p or 50/x-) is refused with ``RecordTooLongError`` before anything
 is allocated.
 
-``scipy.signal`` (the AR(1) filter) is loaded with the first record, not
-with the module, so ``import srled`` and every path without Monte Carlo
-stay free of it. An ensemble loads it in the calling thread, before any
-worker thread starts.
+The AR(1) step x[0] = sd xi_0, x[j] = rho x[j-1] + sigma xi_j is forward
+substitution on the unit lower-bidiagonal system (I - rho S) x = b, S the
+shift by one sample. LAPACK's banded triangular solve (``dtbtrs``, from
+``scipy.linalg``, which ``scipy.integrate`` has already loaded) takes every
+row of a block as one right-hand side and overwrites the innovations with
+the paths, so the step allocates no array and imports no further module.
 """
 
 from __future__ import annotations
 
-import importlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -80,9 +82,11 @@ from dataclasses import dataclass
 from threading import Event
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import (
     InvalidParamsError,
+    ModelError,
     RecordTooLongError,
     StepTooLargeError,
     TooFewRecordsError,
@@ -246,7 +250,11 @@ def _colored_series(xi: np.ndarray, amp: np.ndarray) -> np.ndarray:
 
 
 def _ou_constants(pops: Populations, config: MonteCarloConfig):
-    """(rho, sigma, stationary sd) of the AR(1) path; None without dispersion."""
+    """(band, sigma, stationary sd) of the AR(1) path; None without dispersion.
+
+    band is I - rho S in LAPACK's lower band storage, rho = exp(-gamma_p dt):
+    a row of ones, the diagonal, then -rho, the subdiagonal.
+    """
     if pops.delta2_ne == 0.0:
         return None
     if pops.gamma_p * config.dt > MAX_DECAY_STEP:
@@ -255,22 +263,30 @@ def _ou_constants(pops: Populations, config: MonteCarloConfig):
             "refine the sampling"
         )
     rho = math.exp(-pops.gamma_p * config.dt)
-    return rho, math.sqrt(pops.delta2_ne * (1.0 - rho * rho)), math.sqrt(pops.delta2_ne)
+    band = np.empty((2, config.n_samples))
+    band[0] = 1.0
+    band[1] = -rho
+    return band, math.sqrt(pops.delta2_ne * (1.0 - rho * rho)), math.sqrt(pops.delta2_ne)
 
 
 def _ou_series(innov: np.ndarray, ou) -> np.ndarray:
-    """AR(1) paths from standard-normal innovations, which are overwritten."""
-    # imported here, with the first record: scipy.signal takes ~0.5 s and
-    # ~24 MiB to load, and no other path of the package needs it
-    from scipy.signal import lfilter
+    """AR(1) paths from standard-normal innovations, computed in their place.
 
-    rho, sigma, sd = ou
-    # x[0] = sd innov[0], x[j] = rho x[j-1] + sigma innov[j]; lfilter computes
-    # y[j] = drive[j] + rho y[j-1]
+    innov holds one path per row along its last axis. x[0] = sd innov[0],
+    x[j] = rho x[j-1] + sigma innov[j] is the forward substitution
+    (I - rho S) x = b with b = (sd innov[0], sigma innov[1], ...); the rows
+    are the columns of one transposed right-hand side, which dtbtrs solves
+    in place.
+    """
+    band, sigma, sd = ou
     first = innov[..., 0] * sd
     innov *= sigma
     innov[..., 0] = first
-    return lfilter([1.0], [1.0, -rho], innov, axis=-1)
+    paths, info = dtbtrs(band, innov.reshape(-1, innov.shape[-1]).T,
+                         uplo="L", diag="U", overwrite_b=1)
+    if info:
+        raise ModelError(f"dtbtrs refused the AR(1) system (info {info})")
+    return paths.T.reshape(innov.shape)
 
 
 class _Ensemble:
@@ -483,9 +499,6 @@ def run_monte_carlo(params: ModelParams, pops: Populations,
     check_config(params, pops, config)
     _require_records(config.n_records)
     ensemble = _Ensemble(params, pops, config)
-    if ensemble.ou is not None:
-        # load the AR(1) filter here, not in the first record of a worker thread
-        importlib.import_module("scipy.signal")
     rows, workers = _stripes(config)
     nr, qr = np.empty((2, config.n_records))  # <|a|^2>, <|a|^4> at each record's index
     failed = Event()  # set by a worker that raises, so the others stop early
@@ -500,8 +513,11 @@ def run_monte_carlo(params: ModelParams, pops: Populations,
                 bufs = [None if b is None else b[:stop - start] for b in block]
                 for row, index in enumerate(range(start, stop)):
                     ensemble.draw(record_rng(config, index), row, bufs)
-                nr[start:stop], qr[start:stop] = _record_means(
-                    np.abs(ensemble.fields(bufs)) ** 2, ensemble.drive_var)
+                # |a|^2 over the innovations, spent once fields() took the OU
+                # product; without a population channel, in a new array
+                intensity = np.abs(ensemble.fields(bufs), out=bufs[1])
+                intensity *= intensity
+                nr[start:stop], qr[start:stop] = _record_means(intensity, ensemble.drive_var)
         except BaseException:
             failed.set()
             raise

@@ -43,6 +43,16 @@ def test_g2_both_paths(capsys):
     assert "cumulant-delta" in out
 
 
+def test_slow_pole_ratio_below_validity_ratio(capsys):
+    # 0.99 N_th of the near-threshold family: validity 0.14, but the slow
+    # pole x- is 160 times narrower than the population Lorentzian
+    for command in ("g2", "mean-photon"):
+        assert main([command, "--method", "closed", "--kappa-ratio", "1", "--pump", "3",
+                     "--n-th", "5", "--n-emitters", "9.9", "--gamma-par", "0.1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["validity_ratio = 0.141421", "slow_pole_ratio = 159.599"]
+
+
 def test_spectrum_csv(tmp_path, capsys):
     out = tmp_path / "spec.csv"
     assert main(["spectrum", "--grid-points", "257", "--out", str(out)]) == 0

@@ -22,7 +22,13 @@ from srled import (
     synthesize_colored_noise,
     validity_ratio,
 )
-from srled.model import MAX_GRID_POINTS, loop_abs2, loop_coefficients, slowest_rate
+from srled.model import (
+    MAX_GRID_POINTS,
+    loop_abs2,
+    loop_coefficients,
+    slow_pole_ratio,
+    slowest_rate,
+)
 from srled.montecarlo import record_rng
 
 from conftest import EX1_ORACLE
@@ -233,6 +239,21 @@ class TestValidityRatio:
         p = ModelParams(kappa=0.5, gamma_par=1e-12, pump=0.1,
                         n_threshold=5.0, n_emitters=20.0)
         assert validity_ratio(p) < 1e-11
+
+
+class TestSlowPoleRatio:
+    @pytest.mark.parametrize("fraction, ratio", [(0.9, 15.589466384404114),
+                                                 (0.99, 159.598994968533)])
+    def test_near_threshold(self, fraction, ratio):
+        # 2 kappa/gamma_perp = 1, P = 3, N_th = 5, N_0 = 10 fraction: the
+        # inversion is fraction N_th and gamma_p / x- grows like 1/A
+        params = ModelParams.from_ratio(1.0, gamma_par=0.1, pump=3.0, n_threshold=5.0,
+                                        n_emitters=10.0 * fraction)
+        assert slow_pole_ratio(params, derive_populations(params)) == pytest.approx(
+            ratio, rel=1e-12)
+
+    def test_ex1(self, ex1, ex1_pops):
+        assert slow_pole_ratio(ex1, ex1_pops) == pytest.approx(0.22, rel=1e-12)
 
 
 class TestGrids:

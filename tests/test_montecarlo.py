@@ -9,6 +9,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from srled import (
     InvalidParamsError,
@@ -43,11 +44,11 @@ from conftest import EX1_ORACLE
 # records of 4096 samples (seed 9), and gamma_par = 0.01 with 30 records of
 # 32768 samples (seed 3). Seeded ensembles must reproduce them bit for bit.
 GOLDEN_EX1 = MomentEstimate(
-    n=0.052573379075335394, g2=2.120475036707705, n_se=0.00031822822610242947,
-    g2_se=0.010632953152436047, n_records=37)
+    n=0.0525733790753354, g2=2.1204750367077048, n_se=0.0003182282261024295,
+    g2_se=0.010632953152435608, n_records=37)
 GOLDEN_LONG = MomentEstimate(
-    n=0.0535432472771139, g2=2.1680706546568955, n_se=0.00029550307868510267,
-    g2_se=0.009179578864775688, n_records=30)
+    n=0.0535432472771139, g2=2.1680706546568955, n_se=0.0002955030786851027,
+    g2_se=0.00917957886477575, n_records=30)
 
 
 def _flat_density(level=1.0):
@@ -237,6 +238,31 @@ class TestOUPath:
         target = np.exp(-ex1_pops.gamma_p * lag * config.dt) * EX1_ORACLE["delta2_ne"]
         assert acc / nr == pytest.approx(target, rel=0.05)
 
+    @pytest.mark.parametrize("decay", [MAX_DECAY_STEP, 1e-4])
+    @pytest.mark.parametrize("n", [4096, 32768, MAX_RECORD_SAMPLES])
+    def test_matches_lfilter_recursion(self, ex1_pops, n, decay):
+        # gamma_p dt = decay, less a hair so that MAX_DECAY_STEP cannot round
+        # above the cap; lfilter runs y[j] = b[j] + rho y[j-1] on the same
+        # innovations, so the two paths differ by rounding alone
+        config = MonteCarloConfig(duration=n * decay * (1.0 - 1e-12) / ex1_pops.gamma_p,
+                                  n_samples=n)
+        rho = math.exp(-ex1_pops.gamma_p * config.dt)
+        b = record_rng(config, 0).standard_normal(n)
+        b[1:] *= math.sqrt(ex1_pops.delta2_ne * (1.0 - rho * rho))
+        b[0] *= math.sqrt(ex1_pops.delta2_ne)
+        expected = lfilter([1.0], [1.0, -rho], b)
+        path = ou_population_path(ex1_pops, config, record_rng(config, 0))
+        assert np.max(np.abs(path - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [4096, MAX_RECORD_SAMPLES])
+    def test_block_rows_equal_one_row_paths(self, ex1_pops, n):
+        config = MonteCarloConfig(duration=n * 0.05 / ex1_pops.gamma_p, n_samples=n)
+        block = np.stack([record_rng(config, i).standard_normal(n) for i in range(3)])
+        paths = montecarlo._ou_series(block, montecarlo._ou_constants(ex1_pops, config))
+        for i in range(3):
+            assert np.array_equal(
+                paths[i], ou_population_path(ex1_pops, config, record_rng(config, i)))
+
     def test_step_too_large(self, ex1, ex1_pops):
         config = MonteCarloConfig(duration=512.0, n_samples=512)  # dt = 1
         with pytest.raises(StepTooLargeError):
@@ -366,8 +392,6 @@ class TestFieldRecords:
         rows, workers = montecarlo._stripes(config)
         assert rows * workers * config.n_samples <= montecarlo.BLOCK_SAMPLES
         long = dataclasses.replace(config, duration=config.duration * 8, n_samples=2 ** 15)
-        # a first record loads scipy.signal, which the peaks must not count
-        simulate_field_record(ex1, ex1_pops, config, record_rng(config, 0))
         ensemble = _traced_peak(lambda: run_monte_carlo(ex1, ex1_pops, config))
         record = _traced_peak(
             lambda: simulate_field_record(ex1, ex1_pops, long, record_rng(long, 0)))
@@ -388,8 +412,6 @@ class TestFieldRecords:
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
         small = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=64, seed=1)
         large = dataclasses.replace(small, n_records=1064)
-        # a first record loads scipy.signal, which the peaks must not count
-        simulate_field_record(ex1, ex1_pops, small, record_rng(small, 0))
         peaks = [_traced_peak(lambda: run_monte_carlo(ex1, ex1_pops, config))
                  for config in (small, large)]
         assert (peaks[1] - peaks[0]) / 1000 < 32.0
