@@ -44,13 +44,17 @@ sample, without a population channel), the whole chunk is transformed at
 once (FFTs and the AR(1) solve along the last axis, arithmetic in place),
 and each row is reduced to its conditional <|a|^2> and <|a|^4>, with
 |a|^2 written over the spent innovations, before the worker takes its next
-chunk. The chunks are striped over one
-worker per CPU the process may use: the calling thread and a thread pool,
-each worker with its own buffers. Each record's two means are written at
-its record index in two preallocated arrays, so the workers need no join
-and the estimate is bit-identical for any number of workers. The
-worker count is capped so the chunks in flight never hold more samples
-than the serial loop's worst case, whatever the host: one block of
+chunk. One worker thread per CPU the process may use runs the chunks, each
+with its own buffers; a worker takes the next chunk as soon as it is free,
+so a slow chunk holds up no other. The calling thread only starts, waits
+for and stops the workers: on it, with glibc's allocator at its defaults,
+every 32768-point FFT paged its scratch in afresh (about 224 minor faults
+a transform), where a worker thread reuses it. Each record's two means are
+written at its record index in two preallocated arrays, so nothing is
+merged after the workers end and the estimate is bit-identical for any
+number of workers and any order of chunks. The worker count is capped so
+the chunks in flight never hold more samples than the serial loop's worst
+case, whatever the host: one block of
 ``BLOCK_SAMPLES`` samples for records shorter than a block, and one record
 per worker, at most ``MAX_RECORD_SAMPLES`` samples together, otherwise. A
 worker that fails stops the others before their next chunk. The
@@ -77,9 +81,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from threading import Event
+from threading import Event, Lock, Semaphore, Thread
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
@@ -465,7 +468,8 @@ def _cpu_count() -> int:
 
 
 def _stripes(config: MonteCarloConfig) -> tuple[int, int]:
-    """(records per chunk, workers) of an ensemble.
+    """(records per chunk, workers) of an ensemble; the workers take the
+    chunks on demand.
 
     Never more workers than chunks, nor than the samples in flight allow:
     rows * workers * n_samples stays within BLOCK_SAMPLES for records
@@ -483,49 +487,70 @@ def run_monte_carlo(params: ModelParams, pops: Populations,
                     config: MonteCarloConfig) -> MomentEstimate:
     """Simulate the ensemble chunk by chunk on every CPU and estimate moments.
 
-    Chunks of consecutive records are striped over the workers: worker w
-    synthesizes chunks w, w + W, w + 2W, ... in its own buffers, the calling
-    thread being worker 0. Every record is drawn from its own stream and
+    W worker threads share the chunks of consecutive records: each takes
+    the next chunk in record order as soon as it is free and synthesizes it
+    in its own buffers, while the calling thread starts the workers, waits
+    for them and stops them. Every record is drawn from its own stream and
     transformed row by row, and its <|a|^2> and <|a|^4>, the zero-order
-    drive integrated out, are written at its
-    record index, so a seeded ensemble is bit-identical for any number of
-    workers without a join. W is the CPU count of the process, capped so
-    that the chunks in flight hold at most one block of BLOCK_SAMPLES
-    samples for records shorter than a block, and one record per worker, at
-    most MAX_RECORD_SAMPLES samples together, otherwise. An error in any
-    worker, or an interrupt of the calling thread, stops the other workers
-    before their next chunk; the call raises it once they have stopped.
+    drive integrated out, are written at its record index, so a seeded
+    ensemble is bit-identical for any number of workers and any order of
+    chunks, with nothing to merge. W is the CPU count of the process,
+    capped so that the chunks in flight hold at most one block of
+    BLOCK_SAMPLES samples for records shorter than a block, and one record
+    per worker, at most MAX_RECORD_SAMPLES samples together, otherwise. An error in any worker, or an interrupt of
+    the calling thread, stops the other workers before their next chunk;
+    the call raises it once every started worker has ended.
     """
     check_config(params, pops, config)
     _require_records(config.n_records)
     ensemble = _Ensemble(params, pops, config)
     rows, workers = _stripes(config)
     nr, qr = np.empty((2, config.n_records))  # <|a|^2>, <|a|^4> at each record's index
-    failed = Event()  # set by a worker that raises, so the others stop early
+    starts = iter(range(0, config.n_records, rows))  # first records of the chunks not taken
+    take = Lock()
+    stop = Event()  # set by a worker that fails or by an interrupted caller
+    ended = Semaphore(0)  # released by each worker as it ends
+    errors = []
 
-    def work(w: int) -> None:
+    def work() -> None:
         try:
             block = ensemble.buffers(rows)  # reused, so a worker allocates its arrays once
-            for start in range(w * rows, config.n_records, workers * rows):
-                if failed.is_set():
+            while not stop.is_set():
+                with take:
+                    start = next(starts, None)
+                if start is None:
                     return
-                stop = min(start + rows, config.n_records)
-                bufs = [None if b is None else b[:stop - start] for b in block]
-                for row, index in enumerate(range(start, stop)):
+                end = min(start + rows, config.n_records)
+                bufs = [None if b is None else b[:end - start] for b in block]
+                for row, index in enumerate(range(start, end)):
                     ensemble.draw(record_rng(config, index), row, bufs)
                 # |a|^2 over the innovations, spent once fields() took the OU
                 # product; without a population channel, in a new array
                 intensity = np.abs(ensemble.fields(bufs), out=bufs[1])
                 intensity *= intensity
-                nr[start:stop], qr[start:stop] = _record_means(intensity, ensemble.drive_var)
-        except BaseException:
-            failed.set()
-            raise
+                nr[start:end], qr[start:end] = _record_means(intensity, ensemble.drive_var)
+        except BaseException as error:  # handed to the caller, which raises it
+            errors.append(error)
+            stop.set()
+        finally:
+            ended.release()
 
-    # threads start on submit, so a single worker starts none
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        helpers = [pool.submit(work, w) for w in range(1, workers)]
-        work(0)
-        for helper in helpers:
-            helper.result()
+    threads = []
+    try:
+        for _ in range(workers):
+            threads.append(Thread(target=work))
+            threads[-1].start()
+        # not join: in Python 3.11 a join that an interrupt cuts short marks
+        # the thread ended while it still runs
+        for _ in threads:
+            ended.acquire()
+    finally:
+        # after an interrupt, the workers end before their next chunk; one
+        # whose start it cut short finds stop set if it runs at all
+        stop.set()
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    if errors:
+        raise errors[0]
     return _estimate_from_means(nr, qr)

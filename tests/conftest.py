@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -5,6 +8,16 @@ from srled import ModelParams, derive_populations
 
 settings.register_profile("srled", derandomize=True, deadline=None)
 settings.load_profile("srled")
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH, for a
+    fresh interpreter that imports srled."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 # Reference configuration used throughout: kappa = 0.5, gamma_par = 0.1,
 # P = 0.1, N_th = 5, N_0 = 20 (rates in units of gamma_perp).

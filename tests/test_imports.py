@@ -12,12 +12,13 @@ imports switch on language features and bind nothing that is read.
 
 import ast
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(p for p in (ROOT / "src" / "srled").glob("*.py") if p.name != "__init__.py")
@@ -204,9 +205,7 @@ def test_runs_load_no_scipy_module_beyond_import():
     # Monte Carlo's AR(1) solve comes from scipy.linalg, which
     # scipy.integrate loads with the package; scipy.signal alone would add
     # about 0.7 s and 23 MiB to every process that runs an ensemble
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env,
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT], env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []

@@ -1,7 +1,10 @@
 """Stochastic records: synthesis fidelity, OU statistics, moment estimates."""
 
 import dataclasses
+import json
 import math
+import signal
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -37,8 +40,7 @@ from srled.montecarlo import (
     record_rng,
 )
 
-from conftest import EX1_ORACLE
-
+from conftest import EX1_ORACLE, src_env
 
 # Frozen seeded estimates, the zero-order drive integrated out: EX1 with 37
 # records of 4096 samples (seed 9), and gamma_par = 0.01 with 30 records of
@@ -63,6 +65,50 @@ def _traced_peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _record_events(monkeypatch) -> list:
+    """Every Event montecarlo makes, in order of creation."""
+    events = []
+
+    def recording_event():
+        events.append(threading.Event())
+        return events[-1]
+
+    monkeypatch.setattr(montecarlo, "Event", recording_event)
+    return events
+
+
+# minor page faults of a 2-worker ensemble of GOLDEN_LONG's 32768-sample
+# records: the least of 3 runs at 30 and at 60 records, after a warm-up
+FAULTS = """
+import dataclasses
+import json
+import resource
+
+import srled
+from srled import montecarlo
+from srled.validation import EX1
+
+montecarlo._cpu_count = lambda: 2
+params = dataclasses.replace(EX1, gamma_par=0.01)
+pops = srled.derive_populations(params)
+
+
+def faults(n_records):
+    config = srled.MonteCarloConfig.for_model(params, pops, n_records=n_records, seed=3)
+    assert config.n_samples == 32768
+    counts = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        srled.run_monte_carlo(params, pops, config)
+        counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return min(counts)
+
+
+faults(30)
+print(json.dumps([faults(30), faults(60)]))
+"""
 
 
 class TestConfig:
@@ -324,8 +370,9 @@ class TestFieldRecords:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_worker_count_keeps_golden_estimates(self, ex1, ex1_pops, monkeypatch, workers):
-        # 3 workers stripe 19 chunks of 2 records unevenly, the last chunk
-        # holding 1; records of 32768 samples take one chunk each
+        # 3 workers share 19 chunks of 2 records, the last chunk holding 1,
+        # each taking the next as soon as it is free; records of 32768
+        # samples take one chunk each
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, so a lost chunk would show
@@ -341,32 +388,28 @@ class TestFieldRecords:
             sys.setswitchinterval(interval)
 
     def test_worker_error_is_raised_and_threads_end(self, ex1, ex1_pops, monkeypatch):
-        # two workers over 10 chunks: the helper thread fails on its first
-        # chunk once the calling thread holds its own first chunk; that one
-        # is held until the failure is signalled, and no other is taken
+        # two workers over 10 chunks: the first to bring a chunk into fields
+        # holds it until the failure is signalled, the other fails on its
+        # first chunk, and no other chunk is taken
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
-        events = []
-
-        def recording_event():
-            events.append(threading.Event())
-            return events[-1]
-
-        monkeypatch.setattr(montecarlo, "Event", recording_event)
+        events = _record_events(monkeypatch)
         fields = montecarlo._Ensemble.fields
-        failure = ModelError("helper chunk failed")
-        main_chunks = []
-        main_in_fields = threading.Event()
+        failure = ModelError("worker chunk failed")
+        chunks = []  # (thread, rows of the field buffer) of each chunk in fields
+        holder = threading.Lock()
+        held = threading.Event()
+        released = []  # whether the holder saw the stop flag set
 
         def failing_fields(self, bufs):
-            # the helper fails only once the calling thread holds its first
-            # chunk, so the two threads cannot race to the failure
-            if threading.current_thread() is not threading.main_thread():
-                assert main_in_fields.wait(timeout=30.0)
-                raise failure
-            main_chunks.append(len(bufs[0]))  # rows of the field buffer
-            main_in_fields.set()
-            assert events[0].wait(timeout=30.0)
-            return fields(self, bufs)
+            chunks.append((threading.current_thread(), len(bufs[0])))
+            if holder.acquire(blocking=False):
+                held.set()
+                released.append(events[0].wait(timeout=30.0))
+                return fields(self, bufs)
+            # fail only once the other worker holds its chunk, so the two
+            # cannot race to the failure
+            assert held.wait(timeout=30.0)
+            raise failure
 
         monkeypatch.setattr(montecarlo._Ensemble, "fields", failing_fields)
         config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=37, seed=9)
@@ -375,8 +418,115 @@ class TestFieldRecords:
         with pytest.raises(ModelError) as info:
             run_monte_carlo(ex1, ex1_pops, config)
         assert info.value is failure
-        assert main_chunks == [4]
+        assert released == [True]
+        assert [rows for _, rows in chunks] == [4, 4]
+        workers = {thread for thread, _ in chunks}
+        assert len(workers) == 2 and threading.current_thread() not in workers
+        assert not any(thread.is_alive() for thread in workers)
         assert threading.active_count() == before
+
+    def test_chunks_are_taken_on_demand(self, ex1, ex1_pops, monkeypatch):
+        # two workers over 10 chunks: the first chunk to reach fields is
+        # held until the other 9 are reduced, so the other worker must take
+        # all of them; with chunks dealt out in fixed turns it would stop
+        # after 4 or 5 and the wait would time out
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+        fields = montecarlo._Ensemble.fields
+        record_means = montecarlo._record_means
+        reduced = []
+        others_reduced = threading.Event()
+        first = threading.Lock()
+
+        def counting_means(intensity, drive_var):
+            means = record_means(intensity, drive_var)
+            reduced.append(len(intensity))
+            if len(reduced) == 9:
+                others_reduced.set()
+            return means
+
+        def stalling_fields(self, bufs):
+            if first.acquire(blocking=False):
+                assert others_reduced.wait(timeout=30.0)
+            return fields(self, bufs)
+
+        monkeypatch.setattr(montecarlo, "_record_means", counting_means)
+        monkeypatch.setattr(montecarlo._Ensemble, "fields", stalling_fields)
+        config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=37, seed=9)
+        assert montecarlo._stripes(config) == (4, 2)
+        assert run_monte_carlo(ex1, ex1_pops, config) == GOLDEN_EX1
+        assert sorted(reduced) == [1] + [4] * 9
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"),
+                        reason="signals are sent to a thread on POSIX only")
+    @pytest.mark.parametrize("window", ["starting", "waiting"])
+    def test_interrupt_stops_every_worker(self, ex1, ex1_pops, monkeypatch, window):
+        # a worker in its first chunk sends SIGINT to the calling thread
+        # while the caller is still starting the second worker, or once it
+        # waits for both; each worker in fields holds its chunk until the
+        # stop flag is set
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+        events = _record_events(monkeypatch)
+        main_ident = threading.main_thread().ident
+        threads = []
+        in_window = threading.Event()  # the caller is where the signal must land
+        sent = threading.Event()
+
+        class SequencedThread(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                threads.append(self)
+
+            def start(self):
+                if window == "starting" and len(threads) == 2:
+                    in_window.set()
+                    assert sent.wait(timeout=30.0)  # the interrupt lands here
+                super().start()
+                if window == "waiting" and len(threads) == 2:
+                    in_window.set()  # both started: the caller goes on to wait
+
+        fields = montecarlo._Ensemble.fields
+        stopped_on_entry = []  # the stop flag as each chunk reached fields
+        released = []  # whether each chunk saw the stop flag set
+        both_in = threading.Barrier(2)
+
+        def interrupting_fields(self, bufs):
+            stopped_on_entry.append(events[0].is_set())
+            # waiting: one of the two workers signals once both hold a chunk
+            if window == "starting" or both_in.wait(timeout=30.0) == 0:
+                assert in_window.wait(timeout=30.0)
+                signal.pthread_kill(main_ident, signal.SIGINT)
+                sent.set()
+            released.append(events[0].wait(timeout=30.0))
+            return fields(self, bufs)
+
+        monkeypatch.setattr(montecarlo, "Thread", SequencedThread)
+        monkeypatch.setattr(montecarlo._Ensemble, "fields", interrupting_fields)
+        config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=37, seed=9)
+        before = threading.active_count()
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_monte_carlo(ex1, ex1_pops, config)
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        started = 1 if window == "starting" else 2
+        assert len(threads) == 2 and sum(t.ident is not None for t in threads) == started
+        assert stopped_on_entry == [False] * started and released == [True] * started
+        assert not any(thread.is_alive() for thread in threads)
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor page faults are counted on Linux")
+    def test_long_records_fault_no_pages_per_record(self):
+        # each 32768-sample FFT allocates about 900 KiB of scratch; a worker
+        # that pages it in afresh faults some 224 times per transform, three
+        # transforms a record. A fresh interpreter, so that no earlier test
+        # has moved the allocator's thresholds
+        proc = subprocess.run([sys.executable, "-c", FAULTS], env=src_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        at_30, at_60 = json.loads(proc.stdout)
+        assert (at_60 - at_30) / 30 < 50.0, (at_30, at_60)
 
     @pytest.mark.parametrize("cpus", [2, 16, 32, pytest.param(None, id="host")])
     def test_many_cpus_keep_one_block(self, ex1, ex1_pops, monkeypatch, cpus):
