@@ -29,6 +29,10 @@ serves both cases.
 
 Per-record RNG streams are counter-based (Philox keyed by master seed and
 record index), so ensembles are bit-reproducible regardless of scheduling.
+A record's stream is one state, key (seed, index) at counter 0 with no
+buffered output, set by one helper: ``record_rng`` sets it on a new
+Philox, and each ensemble worker re-keys the one Philox it owns to it
+before every record it draws, so no record builds a generator.
 
 Spectra enter as functions of omega. One private sampler evaluates a
 spectrum on the record bins, checks that every sample is finite and
@@ -40,7 +44,11 @@ and the amplitude sqrt(c/2T) on the record grid, v_d and the AR(1)
 constants. It then synthesizes records in chunks of consecutive records.
 Each row of a chunk is drawn from its own record stream (colored noise,
 then OU innovations: three normals per sample; the drive alone, two per
-sample, without a population channel), the whole chunk is transformed at
+sample, without a population channel). The normals are drawn into the
+block: the two quadratures of the colored noise pass through the row's
+innovations as scratch and are scaled by sqrt(c/2T) on their way into the
+complex row, and the innovations then overwrite the scratch, so a draw
+makes no temporary. The whole chunk is transformed at
 once (FFTs and the AR(1) solve along the last axis, arithmetic in place),
 and each row is reduced to its conditional <|a|^2> and <|a|^4>, with
 |a|^2 written over the spent innovations, before the worker takes its next
@@ -75,6 +83,8 @@ shift by one sample. LAPACK's banded triangular solve (``dtbtrs``, from
 ``scipy.linalg``, which ``scipy.integrate`` has already loaded) takes every
 row of a block as one right-hand side and overwrites the innovations with
 the paths, so the step allocates no array and imports no further module.
+The band is stored in Fortran order, as LAPACK reads it, so f2py passes it
+without a copy.
 """
 
 from __future__ import annotations
@@ -184,8 +194,23 @@ class MonteCarloConfig:
 
 def record_rng(config: MonteCarloConfig, record_index: int) -> np.random.Generator:
     """Independent counter-based stream for one record."""
-    key = np.array([np.uint64(config.seed), np.uint64(record_index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    bitgen = np.random.Philox()
+    _rekey(bitgen, config.seed, record_index)
+    return np.random.Generator(bitgen)
+
+
+def _rekey(bitgen: np.random.Philox, seed: int, record_index: int) -> None:
+    """Set bitgen to the start of record record_index's stream: key
+    (seed, record_index), counter 0, no buffered output."""
+    # the setter reads each word by index; tuples spare it numpy scalars
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, record_index)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def _min_duration(params: ModelParams, pops: Populations) -> float:
@@ -220,6 +245,16 @@ def _draw_circular(rng: np.random.Generator, row: np.ndarray) -> None:
     row.imag = rng.standard_normal(row.size)
 
 
+def _draw_colored(rng: np.random.Generator, row: np.ndarray, amp: np.ndarray,
+                  scratch: np.ndarray) -> None:
+    """Fill a complex row with amp (N(0,1) + i N(0,1)), real parts drawn
+    first; each quadrature is drawn into the real row scratch and scaled
+    on its way into row."""
+    for part in (row.real, row.imag):
+        rng.standard_normal(out=scratch)
+        np.multiply(scratch, amp, out=part)
+
+
 # -- constants shared by all records; transforms in place on any number of
 # -- rows, along the last axis
 
@@ -246,17 +281,12 @@ def _colored_amplitude(spectrum, config: MonteCarloConfig) -> np.ndarray | None:
     return np.sqrt(vals / (2.0 * config.duration))
 
 
-def _colored_series(xi: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """x(t_j) = sum_m amp_m xi_m exp(-i omega_m t_j), overwriting xi."""
-    xi *= amp
-    return np.fft.fft(xi, axis=-1, out=xi)
-
-
 def _ou_constants(pops: Populations, config: MonteCarloConfig):
     """(band, sigma, stationary sd) of the AR(1) path; None without dispersion.
 
     band is I - rho S in LAPACK's lower band storage, rho = exp(-gamma_p dt):
-    a row of ones, the diagonal, then -rho, the subdiagonal.
+    a row of ones, the diagonal, then -rho, the subdiagonal, in Fortran
+    order, so dtbtrs reads it in place.
     """
     if pops.delta2_ne == 0.0:
         return None
@@ -266,7 +296,7 @@ def _ou_constants(pops: Populations, config: MonteCarloConfig):
             "refine the sampling"
         )
     rho = math.exp(-pops.gamma_p * config.dt)
-    band = np.empty((2, config.n_samples))
+    band = np.empty((2, config.n_samples), order="F")
     band[0] = 1.0
     band[1] = -rho
     return band, math.sqrt(pops.delta2_ne * (1.0 - rho * rho)), math.sqrt(pops.delta2_ne)
@@ -328,10 +358,14 @@ class _Ensemble:
 
     def draw(self, rng: np.random.Generator, row: int, bufs) -> None:
         """One record's variates into row `row` of the block buffers: the
-        colored noise and the OU innovations, or the drive alone."""
+        colored noise, already scaled by sqrt(c/2T), and the OU innovations,
+        or the drive alone."""
         noise, innov = bufs
-        _draw_circular(rng, noise[row])
-        if innov is not None:
+        if innov is None:
+            _draw_circular(rng, noise[row])
+        else:
+            # the innovation row is scratch for the noise until its own draw
+            _draw_colored(rng, noise[row], self.c_amp, innov[row])
             rng.standard_normal(out=innov[row])
 
     def fields(self, bufs) -> np.ndarray:
@@ -339,7 +373,8 @@ class _Ensemble:
         channel; the buffers are overwritten."""
         noise, innov = bufs
         if innov is not None:
-            b = _colored_series(noise, self.c_amp)
+            # b(t_j) = sum_m sqrt(c_m/2T) xi_m exp(-i omega_m t_j)
+            b = np.fft.fft(noise, axis=-1, out=noise)
             np.conjugate(b, out=b)
             b *= _ou_series(innov, self.ou)
             noise = np.fft.ifft(b, axis=-1, out=b)
@@ -362,8 +397,8 @@ def synthesize_colored_noise(spectrum, config: MonteCarloConfig,
     if amp is None:
         return np.zeros(config.n_samples, dtype=complex)
     xi = np.empty(config.n_samples, dtype=complex)
-    _draw_circular(rng, xi)
-    return _colored_series(xi, amp)
+    _draw_colored(rng, xi, amp, np.empty(config.n_samples))
+    return np.fft.fft(xi, out=xi)
 
 
 def ou_population_path(pops: Populations, config: MonteCarloConfig,
@@ -515,6 +550,8 @@ def run_monte_carlo(params: ModelParams, pops: Populations,
     def work() -> None:
         try:
             block = ensemble.buffers(rows)  # reused, so a worker allocates its arrays once
+            bitgen = np.random.Philox()  # re-keyed to each record's stream
+            rng = np.random.Generator(bitgen)
             while not stop.is_set():
                 with take:
                     start = next(starts, None)
@@ -523,7 +560,8 @@ def run_monte_carlo(params: ModelParams, pops: Populations,
                 end = min(start + rows, config.n_records)
                 bufs = [None if b is None else b[:end - start] for b in block]
                 for row, index in enumerate(range(start, end)):
-                    ensemble.draw(record_rng(config, index), row, bufs)
+                    _rekey(bitgen, config.seed, index)
+                    ensemble.draw(rng, row, bufs)
                 # |a|^2 over the innovations, spent once fields() took the OU
                 # product; without a population channel, in a new array
                 intensity = np.abs(ensemble.fields(bufs), out=bufs[1])

@@ -67,6 +67,13 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+def _philox_words(bitgen) -> dict:
+    """A Philox state with its arrays as tuples, so that states compare with ==."""
+    state = dict(bitgen.state, state={k: tuple(v) for k, v in bitgen.state["state"].items()})
+    state["buffer"] = tuple(state["buffer"])
+    return state
+
+
 def _record_events(monkeypatch) -> list:
     """Every Event montecarlo makes, in order of creation."""
     events = []
@@ -195,6 +202,23 @@ class TestConfig:
         np.testing.assert_array_equal(a, a2)
         assert not np.allclose(a, b)
 
+    @pytest.mark.parametrize("seed", [0, 2 ** 63])
+    def test_rekeyed_state_is_the_record_stream(self, seed):
+        # one Philox, used and then re-keyed, holds each record's stream as
+        # record_rng and a Philox built on the key (seed, index) do
+        config = MonteCarloConfig(duration=1.0, n_samples=8, seed=seed)
+        bitgen = np.random.Philox()
+        for index in (0, 1, 36, 2 ** 40):
+            np.random.Generator(bitgen).standard_normal(5)  # leaves output buffered
+            montecarlo._rekey(bitgen, seed, index)
+            built = np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+            assert (_philox_words(bitgen)
+                    == _philox_words(record_rng(config, index).bit_generator)
+                    == _philox_words(built))
+            np.testing.assert_array_equal(
+                np.random.Generator(bitgen).standard_normal(9),
+                record_rng(config, index).standard_normal(9))
+
 
 class TestColoredNoise:
     def test_flat_spectrum_is_white(self, ex1, ex1_pops):
@@ -304,7 +328,10 @@ class TestOUPath:
     def test_block_rows_equal_one_row_paths(self, ex1_pops, n):
         config = MonteCarloConfig(duration=n * 0.05 / ex1_pops.gamma_p, n_samples=n)
         block = np.stack([record_rng(config, i).standard_normal(n) for i in range(3)])
-        paths = montecarlo._ou_series(block, montecarlo._ou_constants(ex1_pops, config))
+        ou = montecarlo._ou_constants(ex1_pops, config)
+        # LAPACK's order, so dtbtrs reads the band without a copy
+        assert ou[0].flags.f_contiguous
+        paths = montecarlo._ou_series(block, ou)
         for i in range(3):
             assert np.array_equal(
                 paths[i], ou_population_path(ex1_pops, config, record_rng(config, i)))
@@ -386,6 +413,47 @@ class TestFieldRecords:
             assert run_monte_carlo(params, pops, config) == GOLDEN_LONG
         finally:
             sys.setswitchinterval(interval)
+
+    def test_one_philox_per_worker(self, ex1, ex1_pops, monkeypatch):
+        # each worker re-keys the one Philox it owns for every record
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+        philox = np.random.Philox
+        builds = []
+
+        def counting_philox(*args, **kwargs):
+            builds.append(threading.current_thread())
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=37, seed=9)
+        assert montecarlo._stripes(config) == (4, 2)
+        assert run_monte_carlo(ex1, ex1_pops, config) == GOLDEN_EX1
+        assert 1 <= len(builds) <= 2 and len(set(builds)) == len(builds)
+        assert threading.current_thread() not in builds
+
+    def test_concurrent_callers_share_no_stream(self, ex1, ex1_pops):
+        # two calling threads run the same seeded ensemble at once, each with
+        # its own workers; a stream shared between them would mix records
+        config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=37, seed=9)
+        start = threading.Barrier(2)
+        results = [None, None]
+
+        def caller(slot):
+            start.wait(timeout=30.0)
+            results[slot] = run_monte_carlo(ex1, ex1_pops, config)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a shared stream would show
+        try:
+            callers = [threading.Thread(target=caller, args=(slot,)) for slot in (0, 1)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert results == [GOLDEN_EX1, GOLDEN_EX1]
 
     def test_worker_error_is_raised_and_threads_end(self, ex1, ex1_pops, monkeypatch):
         # two workers over 10 chunks: the first to bring a chunk into fields
