@@ -29,32 +29,37 @@ serves both cases.
 
 Per-record RNG streams are counter-based (Philox keyed by master seed and
 record index), so ensembles are bit-reproducible regardless of scheduling.
+``MonteCarloConfig`` and ``srled.sweep.SweepSpec`` both apply one ensemble
+rule, ``check_ensemble`` (at least _MIN_RECORDS records, a seed in
+[0, 2^63]), when built, so no record is drawn for a refused ensemble.
 A record's stream is one state, key (seed, index) at counter 0 with no
 buffered output, set by one helper: ``record_rng`` sets it on a new
 Philox, and each ensemble worker re-keys the one Philox it owns to it
 before every record it draws, so no record builds a generator.
 
 Spectra enter as functions of omega. One private sampler evaluates a
-spectrum on the record bins, checks that every sample is finite and
-nonnegative, and turns it into the amplitude sqrt(S/2T) of each bin; both
-``synthesize_colored_noise`` and the ensemble's c(omega) go through it.
+spectrum on the record bins ``config.omegas()``, where s(omega) is taken,
+checks that every sample is finite and nonnegative, and turns it into the
+amplitude sqrt(S/2T) of each bin; both ``synthesize_colored_noise`` and
+the ensemble's c(omega) go through it.
 
 An ensemble computes what its records share once: the loop filter's gain
 and the amplitude sqrt(c/2T) on the record grid, v_d and the AR(1)
 constants. It then synthesizes records in chunks of consecutive records.
 Each row of a chunk is drawn from its own record stream (colored noise,
 then OU innovations: three normals per sample; the drive alone, two per
-sample, without a population channel). The normals are drawn into the
-block: the two quadratures of the colored noise pass through the row's
-innovations as scratch and are scaled by sqrt(c/2T) on their way into the
-complex row, and the innovations then overwrite the scratch, so a draw
-makes no temporary. The whole chunk is transformed at
-once (FFTs and the AR(1) solve along the last axis, arithmetic in place),
-and each row is reduced to its conditional <|a|^2> and <|a|^4>, with
-|a|^2 written over the spent innovations, before the worker takes its next
-chunk. One worker thread per CPU the process may use runs the chunks, each
-with its own buffers; a worker takes the next chunk as soon as it is free,
-so a slow chunk holds up no other. The calling thread only starts, waits
+sample, without a population channel). One helper draws the complex
+noise of either case into the block: its two quadratures pass through a
+real scratch row and are scaled on their way into the complex row, by
+sqrt(c/2T) for the colored noise and by 1 for the drive, and the OU
+innovations then overwrite the scratch, so a draw makes no temporary. The
+whole chunk is transformed at once (FFTs and the AR(1) solve along the
+last axis, arithmetic in place), and each row is reduced to its
+conditional <|a|^2> and <|a|^4>, with |a|^2 written over the spent
+scratch rows, before the worker takes its next chunk. One worker thread
+per CPU the process may use runs the chunks, each with its own buffers; a
+worker takes the next chunk as soon as it is free, so a slow chunk holds
+up no other. The calling thread only starts, waits
 for and stops the workers: on it, with glibc's allocator at its defaults,
 every 32768-point FFT paged its scratch in afresh (about 224 minor faults
 a transform), where a worker thread reuses it. Each record's two means are
@@ -158,10 +163,7 @@ class MonteCarloConfig:
                 f"{self.n_samples} samples per record exceed the budget of "
                 f"{MAX_RECORD_SAMPLES}; gamma_p is too small for a Monte Carlo record"
             )
-        if self.n_records < 1:
-            raise InvalidParamsError("n_records must be >= 1")
-        if self.seed < 0 or self.seed > _MAX_SEED:
-            raise InvalidParamsError("seed must fit in a 64-bit key")
+        check_ensemble(self.n_records, self.seed)
 
     @property
     def dt(self) -> float:
@@ -190,6 +192,15 @@ class MonteCarloConfig:
                  MAX_DECAY_STEP * (1.0 - 1e-12) / pops.gamma_p)
         n = 1 << max(1, math.ceil(math.log2(_min_duration(params, pops) / dt)))
         return cls(duration=n * dt, n_samples=n, n_records=n_records, seed=seed)
+
+
+def check_ensemble(n_records: int, seed: int) -> None:
+    """InvalidParamsError unless there are _MIN_RECORDS records or more and
+    the master seed fits the Philox key beside the record index."""
+    if n_records < _MIN_RECORDS:
+        raise InvalidParamsError(f"need at least {_MIN_RECORDS} records, got {n_records}")
+    if not 0 <= seed <= _MAX_SEED:
+        raise InvalidParamsError(f"seed must be in [0, {_MAX_SEED}], got {seed}")
 
 
 def record_rng(config: MonteCarloConfig, record_index: int) -> np.random.Generator:
@@ -239,17 +250,11 @@ def check_config(params: ModelParams, pops: Populations, config: MonteCarloConfi
 
 # -- draw: one record's Gaussian variates from its own stream ----------------
 
-def _draw_circular(rng: np.random.Generator, row: np.ndarray) -> None:
-    """Fill a complex row with N(0,1) + i N(0,1): real parts drawn first."""
-    row.real = rng.standard_normal(row.size)
-    row.imag = rng.standard_normal(row.size)
-
-
-def _draw_colored(rng: np.random.Generator, row: np.ndarray, amp: np.ndarray,
+def _draw_colored(rng: np.random.Generator, row: np.ndarray, amp: np.ndarray | float,
                   scratch: np.ndarray) -> None:
     """Fill a complex row with amp (N(0,1) + i N(0,1)), real parts drawn
     first; each quadrature is drawn into the real row scratch and scaled
-    on its way into row."""
+    on its way into row. amp is per bin, or 1 for a white drive."""
     for part in (row.real, row.imag):
         rng.standard_normal(out=scratch)
         np.multiply(scratch, amp, out=part)
@@ -259,23 +264,19 @@ def _draw_colored(rng: np.random.Generator, row: np.ndarray, amp: np.ndarray,
 # -- rows, along the last axis
 
 def _colored_amplitude(spectrum, config: MonteCarloConfig) -> np.ndarray | None:
-    """sqrt(S/2T) in FFT bin order; None when S has no positive sample.
+    """sqrt(S/2T) on the record bins; None when S has no positive sample.
 
-    S is sampled in sorted order, omega_m = -pi/dt + m 2 pi/T, then moved
-    to FFT bin order. These are the bins of config.omegas(), but the two
-    spellings round differently in the last bit; seeded records depend on
-    this one.
+    S is sampled once on config.omegas(), in FFT bin order, the bins on
+    which the ensemble evaluates s(omega) too.
     """
     n = config.n_samples
-    omega_max = np.pi / config.dt
-    vals = np.asarray(spectrum(-omega_max + (2.0 * omega_max / n) * np.arange(n)), dtype=float)
+    vals = np.asarray(spectrum(config.omegas()), dtype=float)
     if vals.shape != (n,):
         raise InvalidParamsError(f"spectrum gave shape {vals.shape} on a {n}-sample record")
     if not np.all(np.isfinite(vals)):
         raise InvalidParamsError("spectrum has non-finite samples on the record grid")
     if np.any(vals < 0.0):
         raise InvalidParamsError("spectrum has negative samples on the record grid")
-    vals = np.fft.ifftshift(vals)  # sorted -> fft bin order
     if not np.any(vals > 0.0):
         return None
     return np.sqrt(vals / (2.0 * config.duration))
@@ -325,11 +326,12 @@ def _ou_series(innov: np.ndarray, ou) -> np.ndarray:
 class _Ensemble:
     """What every record of one (params, pops, config) shares, computed once.
 
-    With a population channel (c_amp is not None) a record is its channel
+    With a population channel (ou is not None) a record is its channel
     field a_f alone: the zero-order drive a_d is independent of it and
     circular Gaussian with the exact variance drive_var on the record grid,
     so the reducer adds its moments instead of drawing it. Without one the
-    drive is the whole field; it is drawn, and drive_var is 0.
+    drive is the whole field; it is drawn, and drive_var is 0. Either way a
+    record draws amp (N(0,1) + i N(0,1)), amp being sqrt(c/2T) or 1.
     """
 
     def __init__(self, params: ModelParams, pops: Populations, config: MonteCarloConfig):
@@ -338,11 +340,12 @@ class _Ensemble:
         # zero-order drive: flat PSD chosen so the filtered record reproduces
         # the zero-order photon spectrum (kappa gamma_perp^2 / 2 N_th) N_e / |s|^2
         drive_amp = np.sqrt(zero_order_level(params, pops) / config.duration)
-        self.c_amp = self.ou = None
+        self.amp, self.ou = 1.0, None  # the drive, drawn
         if pops.delta2_ne > 0.0:
-            self.c_amp = _colored_amplitude(lambda w: commutator_spectrum(params, pops, w), config)
-            self.ou = _ou_constants(pops, config)
-        if self.c_amp is None:
+            c_amp = _colored_amplitude(lambda w: commutator_spectrum(params, pops, w), config)
+            if c_amp is not None:
+                self.amp, self.ou = c_amp, _ou_constants(pops, config)
+        if self.ou is None:
             self.drive_var = 0.0
             self.gain = drive_amp / _SQRT2 / s_vals
         else:
@@ -351,28 +354,25 @@ class _Ensemble:
             self.gain = fluctuation_coupling(params) / s_vals
 
     def buffers(self, rows: int):
-        """Field and innovation arrays for a block of rows; no innovations
-        without a population channel."""
+        """Complex field and real scratch arrays for a block of rows; the
+        scratch holds the OU innovations of a population channel."""
         shape = (rows, self.n_samples)
-        return np.empty(shape, dtype=complex), None if self.c_amp is None else np.empty(shape)
+        return np.empty(shape, dtype=complex), np.empty(shape)
 
     def draw(self, rng: np.random.Generator, row: int, bufs) -> None:
         """One record's variates into row `row` of the block buffers: the
-        colored noise, already scaled by sqrt(c/2T), and the OU innovations,
-        or the drive alone."""
-        noise, innov = bufs
-        if innov is None:
-            _draw_circular(rng, noise[row])
-        else:
-            # the innovation row is scratch for the noise until its own draw
-            _draw_colored(rng, noise[row], self.c_amp, innov[row])
-            rng.standard_normal(out=innov[row])
+        noise, already scaled by amp, then the OU innovations of a
+        population channel."""
+        noise, scratch = bufs
+        _draw_colored(rng, noise[row], self.amp, scratch[row])
+        if self.ou is not None:
+            rng.standard_normal(out=scratch[row])
 
     def fields(self, bufs) -> np.ndarray:
         """Records a_f(t) of the drawn rows, or a_d(t) without a population
         channel; the buffers are overwritten."""
         noise, innov = bufs
-        if innov is not None:
+        if self.ou is not None:
             # b(t_j) = sum_m sqrt(c_m/2T) xi_m exp(-i omega_m t_j)
             b = np.fft.fft(noise, axis=-1, out=noise)
             np.conjugate(b, out=b)
@@ -449,11 +449,6 @@ class MomentEstimate:
             raise InvalidParamsError("standard errors must be positive")
 
 
-def _require_records(n_rec: int) -> None:
-    if n_rec < _MIN_RECORDS:
-        raise TooFewRecordsError(f"need at least {_MIN_RECORDS} records, got {n_rec}")
-
-
 def _record_means(intensity: np.ndarray, drive_var: float) -> tuple[np.ndarray, np.ndarray]:
     """<|a|^2> and <|a|^4> of each record along the last axis of its |a_f|^2.
 
@@ -475,7 +470,8 @@ def _estimate_from_means(nr: np.ndarray, qr: np.ndarray) -> MomentEstimate:
     leave-one-out jackknife for the ratio estimator g2.
     """
     n_rec = len(nr)
-    _require_records(n_rec)
+    if n_rec < _MIN_RECORDS:
+        raise TooFewRecordsError(f"need at least {_MIN_RECORDS} records, got {n_rec}")
     n_hat = float(np.mean(nr))
     q_hat = float(np.mean(qr))
     if n_hat <= 0.0:
@@ -537,7 +533,6 @@ def run_monte_carlo(params: ModelParams, pops: Populations,
     the call raises it once every started worker has ended.
     """
     check_config(params, pops, config)
-    _require_records(config.n_records)
     ensemble = _Ensemble(params, pops, config)
     rows, workers = _stripes(config)
     nr, qr = np.empty((2, config.n_records))  # <|a|^2>, <|a|^4> at each record's index
@@ -558,12 +553,11 @@ def run_monte_carlo(params: ModelParams, pops: Populations,
                 if start is None:
                     return
                 end = min(start + rows, config.n_records)
-                bufs = [None if b is None else b[:end - start] for b in block]
+                bufs = [b[:end - start] for b in block]
                 for row, index in enumerate(range(start, end)):
                     _rekey(bitgen, config.seed, index)
                     ensemble.draw(rng, row, bufs)
-                # |a|^2 over the innovations, spent once fields() took the OU
-                # product; without a population channel, in a new array
+                # |a|^2 over the scratch, spent once fields() took any OU product
                 intensity = np.abs(ensemble.fields(bufs), out=bufs[1])
                 intensity *= intensity
                 nr[start:end], qr[start:end] = _record_means(intensity, ensemble.drive_var)

@@ -26,12 +26,7 @@ import numpy as np
 from .errors import InvalidParamsError, ModelError, _require_integers
 from .g2 import g2_bruteforce, g2_closed
 from .model import ModelParams, derive_populations, validity_ratio
-from .montecarlo import (
-    _MAX_SEED,
-    _MIN_RECORDS,
-    MonteCarloConfig,
-    run_monte_carlo,
-)
+from .montecarlo import MonteCarloConfig, check_ensemble, run_monte_carlo
 from .photon import mean_photon_closed, mean_photon_quadrature
 
 SWEEPABLE = ("kappa_ratio", "pump", "n_th", "gamma_par", "n_emitters")
@@ -79,11 +74,7 @@ class SweepSpec:
             raise InvalidParamsError(f"unknown methods {sorted(unknown)}")
         if not (np.isfinite(self.start) and np.isfinite(self.stop)):
             raise InvalidParamsError("start and stop must be finite")
-        # Monte Carlo settings are checked here, not once per row
-        if self.records < _MIN_RECORDS:
-            raise InvalidParamsError(f"records must be >= {_MIN_RECORDS}, got {self.records}")
-        if not 0 <= self.seed <= _MAX_SEED:
-            raise InvalidParamsError(f"seed must be in [0, {_MAX_SEED}], got {self.seed}")
+        check_ensemble(self.records, self.seed)  # here, not once per Monte Carlo row
         if self.scale == "log" and (self.start <= 0.0 or self.stop <= 0.0):
             raise InvalidParamsError("log scale needs positive endpoints")
 

@@ -35,10 +35,12 @@ EX1_N0 = 2.0 / 47.0
 EX1_DELTA_N = 138.0 / 517.0
 EX1_N = 1310.0 / 24299.0
 EX1_G2 = 934226.0 / 429025.0
-# Exact-convolution references at EX1 (independent nested quadrature; an
-# mpmath pole-shift evaluation agrees with n to 16 digits):
-EX1_N_EXACT = 0.053147290823083865
-EX1_G2_FULL = 2.1472115
+# Exact-convolution references at EX1, exact rationals: n is n0 plus the
+# closed-form fluctuation term, and g2 (2.1472115233620812) comes from the
+# full cumulant reduced to one rational function, which a 60-digit root sum
+# confirms and independent nested quadrature matches to its 9 digits:
+EX1_N_EXACT = 503783834 / 9479012499
+EX1_G2_FULL = 376475140162010380480828573265962194983 / 175332116126374716062166504705043107029
 # Monte Carlo criterion: the seed of its random sets and of the EX1 run,
 # the number of random sets besides EX1, and the records per estimate.
 MC_SEED = 505

@@ -39,11 +39,13 @@ EX1_ORACLE = {
     "g2": 934226.0 / 429025.0,
     "i_cs": 1518.0 / 2209.0,          # (2pi)^-1 Int c/|s|^2
     "kernel00": 3200.0 / 2209.0,      # delta2_ne / s(0)^2
-    # exact-convolution n: nested QUADPACK and an mpmath pole-shift
-    # evaluation agree to 16 digits
-    "n_exact": 0.053147290823083865,
-    # nested-quadrature reference for the full-Lorentzian g2
-    "g2_full": 2.14721152,
+    # exact-convolution n, n0 plus the closed-form fluctuation term; nested
+    # QUADPACK and an mpmath pole-shift evaluation agree to 16 digits
+    "n_exact": 503783834 / 9479012499,
+    # full-Lorentzian g2 from the cumulant as one rational function; a
+    # 60-digit root sum confirms it, nested quadrature to its 9 digits
+    "g2_full": 376475140162010380480828573265962194983
+               / 175332116126374716062166504705043107029,
 }
 
 # Exact-convolution n along the gamma_par scan, other parameters as EX1:

@@ -170,6 +170,16 @@ def test_mc_command(capsys):
     assert re.search(r"samples/s = \S+  threads = [1-9]\d*\n", out)
 
 
+def test_mc_refuses_too_few_records_before_running(monkeypatch, capsys):
+    # the config refuses the ensemble when built; no ensemble is started
+    runs = []
+    monkeypatch.setattr("srled.cli.run_monte_carlo", lambda *args: runs.append(args))
+    assert main(["mc", "--records", "29"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "29" in err
+    assert runs == []
+
+
 def test_reproduce_figure(tmp_path, capsys):
     assert main(["reproduce-fig5", "--n-emitters", "10",
                  "--out-dir", str(tmp_path), "--steps", "5"]) == 0

@@ -197,7 +197,7 @@ class TestG2Bruteforce:
     def test_full_mode_ex1(self, ex1, ex1_pops):
         res = g2_bruteforce(ex1, ex1_pops, mode="full")
         assert res.method == METHOD_FULL
-        assert res.g2 == pytest.approx(EX1_ORACLE["g2_full"], rel=1e-6)
+        assert res.g2 == pytest.approx(EX1_ORACLE["g2_full"], rel=1e-10)
 
     def test_full_within_one_percent_at_small_gamma_par(self, ex1):
         params = dataclasses.replace(ex1, gamma_par=0.001)

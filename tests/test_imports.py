@@ -194,6 +194,7 @@ srled.g2_bruteforce(EX1, pops, mode="full")
 srled.mean_photon_quadrature(EX1, pops, mode="exact")
 config = srled.MonteCarloConfig.for_model(EX1, pops, n_records=30)
 srled.run_monte_carlo(EX1, pops, config)
+srled.run_monte_carlo(EX1, pops.without_fluctuations(), config)
 srled.simulate_field_record(EX1, pops, config, record_rng(config, 0))
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["mc", "--records", "30"]) == 0

@@ -44,13 +44,17 @@ from conftest import EX1_ORACLE, src_env
 
 # Frozen seeded estimates, the zero-order drive integrated out: EX1 with 37
 # records of 4096 samples (seed 9), and gamma_par = 0.01 with 30 records of
-# 32768 samples (seed 3). Seeded ensembles must reproduce them bit for bit.
+# 32768 samples (seed 3); and EX1 without fluctuations, 37 records of the
+# drawn drive (seed 9). Seeded ensembles must reproduce them bit for bit.
 GOLDEN_EX1 = MomentEstimate(
-    n=0.0525733790753354, g2=2.1204750367077048, n_se=0.0003182282261024295,
-    g2_se=0.010632953152435608, n_records=37)
+    n=0.052573379075335394, g2=2.120475036707705, n_se=0.0003182282261024295,
+    g2_se=0.010632953152436047, n_records=37)
 GOLDEN_LONG = MomentEstimate(
-    n=0.0535432472771139, g2=2.1680706546568955, n_se=0.0002955030786851027,
+    n=0.0535432472771139, g2=2.1680706546568955, n_se=0.00029550307868510267,
     g2_se=0.00917957886477575, n_records=30)
+GOLDEN_DRIVE = MomentEstimate(
+    n=0.04215996906324246, g2=1.995256959519159, n_se=0.00034480111439296287,
+    g2_se=0.01392372989417229, n_records=37)
 
 
 def _flat_density(level=1.0):
@@ -130,6 +134,16 @@ class TestConfig:
         config = MonteCarloConfig(duration=100.0, n_samples=np.int64(1024),
                                   n_records=np.int32(30), seed=np.uint64(2))
         assert config.dt == 100.0 / 1024
+
+    def test_ensemble_rule_is_checked_when_built(self, ex1, ex1_pops):
+        # the rule run_monte_carlo and SweepSpec need, before any record
+        for bad in ({"n_records": 29}, {"n_records": 0}, {"seed": -1}, {"seed": 2 ** 63 + 1}):
+            with pytest.raises(InvalidParamsError):
+                MonteCarloConfig(duration=100.0, n_samples=1024, **bad)
+            with pytest.raises(InvalidParamsError):
+                MonteCarloConfig.for_model(ex1, ex1_pops, **bad)
+        for good in ({"n_records": 30}, {"seed": 0}, {"seed": 2 ** 63}):
+            MonteCarloConfig(duration=100.0, n_samples=1024, **good)
 
     def test_for_model_resolves_scales(self, ex1, ex1_pops):
         config = MonteCarloConfig.for_model(ex1, ex1_pops)
@@ -277,6 +291,29 @@ class TestColoredNoise:
         assert abs(corr) < 0.01
         assert np.mean(re ** 2) == pytest.approx(np.mean(im ** 2), rel=0.02)
 
+    def test_spectra_are_sampled_on_the_record_bins(self, ex1, ex1_pops, monkeypatch):
+        # one grid: config.omegas(), where the ensemble takes s(omega) too
+        config = MonteCarloConfig.for_model(ex1, ex1_pops)
+        grids = []
+
+        def flat(w):
+            grids.append(w)
+            return np.ones(w.shape)
+
+        synthesize_colored_noise(flat, config, record_rng(config, 0))
+
+        def commutator(params, pops, w):
+            grids.append(w)
+            return commutator_spectrum(params, pops, w)
+
+        monkeypatch.setattr(montecarlo, "commutator_spectrum", commutator)
+        ensemble = montecarlo._Ensemble(ex1, ex1_pops, config)
+        assert len(grids) == 2
+        for grid in grids:
+            np.testing.assert_array_equal(grid, config.omegas())
+        np.testing.assert_array_equal(ensemble.amp, np.sqrt(
+            commutator_spectrum(ex1, ex1_pops, config.omegas()) / (2.0 * config.duration)))
+
     def test_grid_mismatch(self, ex1, ex1_pops):
         config = MonteCarloConfig.for_model(ex1, ex1_pops)
         for spectrum in (lambda w: np.ones(w.size // 2), lambda w: 1.0):  # not one sample per bin
@@ -406,6 +443,8 @@ class TestFieldRecords:
         try:
             config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=37, seed=9)
             assert run_monte_carlo(ex1, ex1_pops, config) == GOLDEN_EX1
+            # without a population channel the drive itself is drawn
+            assert run_monte_carlo(ex1, ex1_pops.without_fluctuations(), config) == GOLDEN_DRIVE
             params = dataclasses.replace(ex1, gamma_par=0.01)
             pops = derive_populations(params)
             config = MonteCarloConfig.for_model(params, pops, n_records=30, seed=3)

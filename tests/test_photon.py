@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -21,7 +22,7 @@ from srled import (
     validity_ratio,
 )
 from srled.model import loop_coefficients
-from srled.photon import METHOD_CLOSED, METHOD_DELTA, METHOD_EXACT
+from srled.photon import METHOD_CLOSED, METHOD_DELTA, METHOD_EXACT, _fluctuation_exact
 from srled.validation import EX1
 
 from conftest import EX1_ORACLE, N_EXACT_SCAN
@@ -176,7 +177,21 @@ class TestMeanPhotonQuadrature:
     def test_exact_mode_ex1(self, ex1, ex1_pops):
         exact = mean_photon_quadrature(ex1, ex1_pops, mode="exact")
         assert exact.method == METHOD_EXACT
-        assert exact.n_total == pytest.approx(EX1_ORACLE["n_exact"], rel=1e-7)
+        assert exact.n_total == pytest.approx(EX1_ORACLE["n_exact"], rel=1e-13)
+
+    def test_exact_n_ex1_is_rational(self, ex1, ex1_pops):
+        # _fluctuation_exact's closed form in exact arithmetic at EX1, plus
+        # n0 = 2/47, is the frozen n_exact
+        k, g, n_th = Fraction(1, 2), Fraction(11, 100), Fraction(5)
+        inversion, delta2 = Fraction(-180, 11), Fraction(200, 121)
+        a, b, coup = k / 2 * (1 - inversion / n_th), k + Fraction(1, 2), k / n_th
+        num = 2 * b * b + (4 * k + 2) * a + ((4 * k + 3) * b + (2 * k + 1) * g) * g
+        den = 2 * a * b * b * (b + g) * (4 * a + (2 * b + g) * g)
+        fluct = delta2 * coup ** 2 * num / den
+        assert Fraction(2, 47) + fluct == Fraction(503783834, 9479012499)
+        assert EX1_ORACLE["n_exact"] == float(Fraction(503783834, 9479012499))
+        value, error = _fluctuation_exact(ex1, ex1_pops)
+        assert abs(value - float(fluct)) <= error
 
     def test_exact_close_to_delta_at_small_gamma_par(self, ex1):
         params = dataclasses.replace(ex1, gamma_par=0.001)
