@@ -13,7 +13,6 @@ from .errors import (
     NonConvergenceError,
     RecordTooLongError,
     StepTooLargeError,
-    TooFewRecordsError,
 )
 from .g2 import (
     G2Result,
@@ -69,7 +68,6 @@ __all__ = [
     "StepTooLargeError",
     "SweepRow",
     "SweepSpec",
-    "TooFewRecordsError",
     "commutator_spectrum",
     "derive_populations",
     "estimate_moments",

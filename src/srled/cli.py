@@ -64,7 +64,7 @@ def _resolve_params(args) -> ModelParams:
             key, val = (part.strip() for part in line.split("=", 1))
             name = key.replace("-", "_")
             if name not in SWEEPABLE:
-                raise ModelError(f"unknown config key {key!r}")
+                raise InvalidParamsError(f"unknown config key {key!r}")
             if name in values:
                 raise InvalidParamsError(f"config key {key!r} sets {name} a second time")
             try:

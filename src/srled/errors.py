@@ -32,10 +32,6 @@ class RecordTooLongError(ModelError, ValueError):
     """A Monte Carlo record would exceed the record-length budget."""
 
 
-class TooFewRecordsError(ModelError, ValueError):
-    """Moment estimation needs a minimum ensemble size."""
-
-
 def _require_integers(**values) -> None:
     """InvalidParamsError unless every value is an integer (numpy's included)."""
     for name, value in values.items():

@@ -22,16 +22,17 @@ second- and fourth-order combinatorics as the model's noise algebra, so the
 estimates must agree with the analytic pipeline. The scatter left is that
 of the population channel, which is skewed: over a hundred or so records
 of a slow population the standard errors run low when the estimates do,
-and the lower tail of z is heavier than Gaussian. Without a population
-channel (no dispersion, or c has no positive sample on the grid) there is
-nothing to condition on: the drive is drawn and v_d = 0, so one reducer
-serves both cases.
+and the lower tail of z is heavier than Gaussian. A record has a
+population channel exactly when delta2_ne > 0: c(0) = 1/A is positive
+below threshold. Without one there is nothing to condition on: the drive
+is drawn and v_d = 0, so one reducer serves both cases.
 
 Per-record RNG streams are counter-based (Philox keyed by master seed and
 record index), so ensembles are bit-reproducible regardless of scheduling.
 ``MonteCarloConfig`` and ``srled.sweep.SweepSpec`` both apply one ensemble
 rule, ``check_ensemble`` (at least _MIN_RECORDS records, a seed in
-[0, 2^63]), when built, so no record is drawn for a refused ensemble.
+[0, 2^63]), when built, so no record is drawn for a refused ensemble;
+``estimate_moments`` applies it to the count of the records it is given.
 A record's stream is one state, key (seed, index) at counter 0 with no
 buffered output, set by one helper: ``record_rng`` sets it on a new
 Philox, and each ensemble worker re-keys the one Philox it owns to it
@@ -107,7 +108,6 @@ from .errors import (
     ModelError,
     RecordTooLongError,
     StepTooLargeError,
-    TooFewRecordsError,
     _require_integers,
 )
 from .model import (
@@ -263,8 +263,8 @@ def _draw_colored(rng: np.random.Generator, row: np.ndarray, amp: np.ndarray | f
 # -- constants shared by all records; transforms in place on any number of
 # -- rows, along the last axis
 
-def _colored_amplitude(spectrum, config: MonteCarloConfig) -> np.ndarray | None:
-    """sqrt(S/2T) on the record bins; None when S has no positive sample.
+def _colored_amplitude(spectrum, config: MonteCarloConfig) -> np.ndarray:
+    """sqrt(S/2T) on the record bins.
 
     S is sampled once on config.omegas(), in FFT bin order, the bins on
     which the ensemble evaluates s(omega) too.
@@ -277,8 +277,6 @@ def _colored_amplitude(spectrum, config: MonteCarloConfig) -> np.ndarray | None:
         raise InvalidParamsError("spectrum has non-finite samples on the record grid")
     if np.any(vals < 0.0):
         raise InvalidParamsError("spectrum has negative samples on the record grid")
-    if not np.any(vals > 0.0):
-        return None
     return np.sqrt(vals / (2.0 * config.duration))
 
 
@@ -326,7 +324,7 @@ def _ou_series(innov: np.ndarray, ou) -> np.ndarray:
 class _Ensemble:
     """What every record of one (params, pops, config) shares, computed once.
 
-    With a population channel (ou is not None) a record is its channel
+    With a population channel (delta2_ne > 0) a record is its channel
     field a_f alone: the zero-order drive a_d is independent of it and
     circular Gaussian with the exact variance drive_var on the record grid,
     so the reducer adds its moments instead of drawing it. Without one the
@@ -340,18 +338,16 @@ class _Ensemble:
         # zero-order drive: flat PSD chosen so the filtered record reproduces
         # the zero-order photon spectrum (kappa gamma_perp^2 / 2 N_th) N_e / |s|^2
         drive_amp = np.sqrt(zero_order_level(params, pops) / config.duration)
-        self.amp, self.ou = 1.0, None  # the drive, drawn
         if pops.delta2_ne > 0.0:
-            c_amp = _colored_amplitude(lambda w: commutator_spectrum(params, pops, w), config)
-            if c_amp is not None:
-                self.amp, self.ou = c_amp, _ou_constants(pops, config)
-        if self.ou is None:
-            self.drive_var = 0.0
-            self.gain = drive_amp / _SQRT2 / s_vals
-        else:
+            self.amp = _colored_amplitude(lambda w: commutator_spectrum(params, pops, w), config)
+            self.ou = _ou_constants(pops, config)
             # Var a_d(t) = sum_m drive_amp^2 / |s_m|^2: the bins are independent
             self.drive_var = float(np.sum(drive_amp ** 2 / np.abs(s_vals) ** 2))
             self.gain = fluctuation_coupling(params) / s_vals
+        else:
+            self.amp, self.ou = 1.0, None  # the drive, drawn
+            self.drive_var = 0.0
+            self.gain = drive_amp / _SQRT2 / s_vals
 
     def buffers(self, rows: int):
         """Complex field and real scratch arrays for a block of rows; the
@@ -391,13 +387,10 @@ def synthesize_colored_noise(spectrum, config: MonteCarloConfig,
     sample per bin (InvalidParamsError otherwise). The series
     x(t_j) = sum_m sqrt(S(omega_m)/T) xi_m exp(-i omega_m t_j) has
     Var x = (2 pi)^-1 Int S d omega over the record band, with independent
-    real and imaginary quadratures.
+    real and imaginary quadratures; an all-zero S gives zeros.
     """
-    amp = _colored_amplitude(spectrum, config)
-    if amp is None:
-        return np.zeros(config.n_samples, dtype=complex)
     xi = np.empty(config.n_samples, dtype=complex)
-    _draw_colored(rng, xi, amp, np.empty(config.n_samples))
+    _draw_colored(rng, xi, _colored_amplitude(spectrum, config), np.empty(config.n_samples))
     return np.fft.fft(xi, out=xi)
 
 
@@ -467,11 +460,10 @@ def _estimate_from_means(nr: np.ndarray, qr: np.ndarray) -> MomentEstimate:
     """n = <<|a|^2>>, g2 = <<|a|^4>> / n^2 from per-record <|a|^2>, <|a|^4>.
 
     Standard errors come from record-to-record scatter: directly for n,
-    leave-one-out jackknife for the ratio estimator g2.
+    leave-one-out jackknife for the ratio estimator g2. The caller has
+    applied check_ensemble to the record count.
     """
     n_rec = len(nr)
-    if n_rec < _MIN_RECORDS:
-        raise TooFewRecordsError(f"need at least {_MIN_RECORDS} records, got {n_rec}")
     n_hat = float(np.mean(nr))
     q_hat = float(np.mean(qr))
     if n_hat <= 0.0:
@@ -486,8 +478,10 @@ def _estimate_from_means(nr: np.ndarray, qr: np.ndarray) -> MomentEstimate:
 
 
 def estimate_moments(records) -> MomentEstimate:
-    """n = <<|a|^2>>, g2 = <<|a|^4>> / n^2 over an ensemble of records."""
+    """n = <<|a|^2>>, g2 = <<|a|^4>> / n^2 over an ensemble of records;
+    InvalidParamsError for fewer than _MIN_RECORDS records (check_ensemble)."""
     means = [_record_means(np.abs(np.ravel(rec)) ** 2, 0.0) for rec in records]
+    check_ensemble(len(means), seed=0)  # given records carry no seed
     return _estimate_from_means(*np.reshape(means, (-1, 2)).T)
 
 

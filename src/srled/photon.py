@@ -51,18 +51,6 @@ class MeanPhotonResult:
     error: float = 0.0
 
 
-def dispersion_ratio(params: ModelParams, pops: Populations) -> float:
-    """delta2_ne / N_e, evaluated as 1/(P+1) when N_e vanishes.
-
-    Using the stored ratio keeps counterfactual populations (fluctuations
-    disabled by hand) consistent; the 1/(P+1) reduction only resolves the
-    0/0 at zero pump.
-    """
-    if pops.n_excited > 0.0:
-        return pops.delta2_ne / pops.n_excited
-    return 1.0 / (params.pump + 1.0)
-
-
 def photon_number_spectrum(params: ModelParams, pops: Populations, omega):
     """n(omega) in the delta approximation; nonnegative and even.
 
@@ -85,7 +73,9 @@ def mean_photon_closed(params: ModelParams, pops: Populations) -> MeanPhotonResu
     gap = params.n_threshold - pops.inversion
     n0 = pops.n_excited / ((1.0 + r) * gap)
     u = gap / params.n_threshold  # = 1 - N/N_th
-    delta_n = dispersion_ratio(params, pops) / params.n_threshold * (2.0 * r / (1.0 + r) + 2.0 / u)
+    # delta2_ne / N_e, which is 1/(P+1) in the 0/0 at zero pump
+    ratio = pops.delta2_ne / pops.n_excited if pops.n_excited > 0.0 else 1.0 / (params.pump + 1.0)
+    delta_n = ratio / params.n_threshold * (2.0 * r / (1.0 + r) + 2.0 / u)
     return MeanPhotonResult(n0=n0, delta_n=delta_n, n_total=n0 * (1.0 + delta_n),
                             method=METHOD_CLOSED)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .g2 import g2_bruteforce, g2_closed, g2_from_delta_n
 from .model import ModelParams, commutator_spectrum, derive_populations, validity_ratio
 from .montecarlo import MonteCarloConfig, run_monte_carlo
-from .photon import dispersion_ratio, mean_photon_closed, mean_photon_quadrature
+from .photon import mean_photon_closed, mean_photon_quadrature
 from .quadrature import integrate_1d
 from .sweep import figure_series, run_sweep
 
@@ -46,20 +46,6 @@ EX1_G2_FULL = 376475140162010380480828573265962194983 / 175332116126374716062166
 MC_SEED = 505
 MC_RANDOM_SETS = 9
 MC_RECORDS = 500
-
-
-def _variant_delta_n(params: ModelParams, pops) -> float:
-    """A circulating closed-form variant of the fluctuation bracket,
-    3 (r/(1+r))^2 + r/(1 - N/N_th).
-
-    It disagrees with the defining integral everywhere except
-    2 kappa/gamma_perp = 2 and fails every numerical oracle here; the
-    reference-point report prints its values alongside for comparison.
-    """
-    r = params.kappa_ratio
-    u = 1.0 - pops.inversion / params.n_threshold
-    bracket = 3.0 * (r / (1.0 + r)) ** 2 + r / u
-    return dispersion_ratio(params, pops) / params.n_threshold * bracket
 
 
 @dataclass
@@ -295,12 +281,9 @@ def criterion_8_reference_point() -> CriterionResult:
             abs(quad - EX1_N) / EX1_N,
             abs(brute - EX1_G2) / EX1_G2,
         )
-        var_dn = _variant_delta_n(EX1, pops)
         return worst < 1e-4, (
             f"max rel gap {worst:.2e}; computed n0={mp.n0:.6f} delta_n={mp.delta_n:.6f} "
-            f"n={mp.n_total:.6f} g2={g2c:.5f} "
-            f"(inconsistent bracket variant would give delta_n={var_dn:.6f} "
-            f"n={mp.n0 * (1 + var_dn):.6f} g2={g2_from_delta_n(var_dn):.5f})"
+            f"n={mp.n_total:.6f} g2={g2c:.5f}"
         )
 
     return _criterion("EX1 reference point (tol 1e-4 relative)", check)

@@ -1,8 +1,8 @@
 """Independent oracles of the library's numerical paths, in one place.
 
 An oracle must not share the code it checks: nothing here imports a name
-that srled.quadrature defines, directly or through srled, and no module of
-srled imports this one (tests/test_imports.py checks both). Adaptive
+that srled.quadrature or srled.g2 defines, directly or through srled, and
+no module of srled imports this one (tests/test_imports.py checks both). Adaptive
 integrals call scipy.integrate.quad directly, with their own tolerances
 and convergence check.
 
@@ -13,6 +13,8 @@ and convergence check.
   tan-substituted Cauchy average, with no exclusion,
 * ``cumulant_delta_product_form``: the delta-mode noise_cumulant as the
   square of a 1-D integral,
+* ``cumulant_full_root_sum``: the full-mode noise_cumulant as a finite sum
+  over the roots of s, the population rate and the orderings of four times,
 * ``mean_term_cancellation``: the exact-convolution n of
   mean_photon_quadrature against nested adaptive quadrature that smooths
   the other factor,
@@ -22,6 +24,7 @@ and convergence check.
 
 import functools
 import importlib.util
+import itertools
 import warnings
 from pathlib import Path
 
@@ -155,6 +158,54 @@ def cumulant_delta_product_form(params, pops) -> float:
     val = _quad(lambda w: commutator_spectrum(params, pops, w) / loop_abs2(params, pops, w),
                 -np.inf, np.inf, rel_tol=1e-10, abs_tol=1e-13)
     return (2.0 * pops.delta2_ne * val / (2.0 * np.pi)) ** 2
+
+
+def cumulant_full_root_sum(params, pops) -> float:
+    """The full-mode noise_cumulant C as a finite sum; no quadrature.
+
+    With x+- the roots of x^2 - B x + A (s(omega) = (i omega - x+)
+    (i omega - x-)), 1/s is the transform of the impulse response
+    g(t) = (e^(-x- t) - e^(-x+ t)) / (x+ - x-), t >= 0, and
+    c(omega) = alpha/(omega^2 + x+^2) + beta/(omega^2 + x-^2) that of
+    r(tau) = Sum_j r_j e^(-x_j |tau|), r_j = coefficient / (2 x_j), so
+    r(0) = 1. Parseval in both frequencies of the cumulant integral gives
+
+        C = 4 delta2_ne^2 Int_{t, t', u, u' >= 0} g(t) g(t') g(u) g(u')
+            e^(-gamma_p |t - t'|) e^(-gamma_p |u - u'|) r(t - u) r(t' - u').
+
+    Each g and r chooses one exponential (16 x 4 choices); on each of the
+    24 orderings of the four times the integrand is then one exponential,
+    whose integral is the product over the four gaps, from 0 up through
+    the ordered times, of 1/(the sum of the rates that span the gap).
+    Near 4A = B^2 the terms cancel like eps/(x+ - x-)^2: ValueError where
+    |x+ - x-| < RESIDUE_MIN_GAP * B, as kernel_full_residues.
+    """
+    _, _, a, b = _loop(params, pops)
+    root = np.sqrt(complex(b * b - 4.0 * a))
+    xp, xm = (b + root) / 2.0, (b - root) / 2.0
+    if abs(xp - xm) < RESIDUE_MIN_GAP * b:
+        raise ValueError(f"roots of s {abs(xp - xm):.3g} apart, below {RESIDUE_MIN_GAP} B")
+    # c = (2 kappa omega^2 + A) / ((omega^2 + x+^2)(omega^2 + x-^2)) in partial fractions
+    k = params.kappa
+    r_terms = ((xp, (a - 2.0 * k * xp * xp) / (xm * xm - xp * xp) / (2.0 * xp)),
+               (xm, (a - 2.0 * k * xm * xm) / (xp * xp - xm * xm) / (2.0 * xm)))
+    g_terms = ((xm, 1.0 / (xp - xm)), (xp, -1.0 / (xp - xm)))
+    gamma = pops.gamma_p
+    total = 0.0
+    # the times are t, t', u, u' = 0, 1, 2, 3
+    for g_choice in itertools.product(g_terms, repeat=4):
+        g_weight = np.prod([w for _, w in g_choice])
+        for (xj, rj), (xk, rk) in itertools.product(r_terms, repeat=2):
+            links = ((0, 1, gamma), (2, 3, gamma), (0, 2, xj), (1, 3, xk))
+            for order in itertools.permutations(range(4)):
+                term = g_weight * rj * rk
+                for gap in range(4):
+                    later = order[gap:]  # the times above this gap
+                    rate = sum(g_choice[i][0] for i in later) \
+                        + sum(x for i, j, x in links if (i in later) != (j in later))
+                    term /= rate
+                total += term
+    return 4.0 * pops.delta2_ne ** 2 * float(total.real)
 
 
 def mean_term_cancellation(params, pops) -> tuple[float, float]:

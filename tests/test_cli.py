@@ -6,8 +6,9 @@ import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from srled import ModelParams
+from srled import InvalidParamsError, ModelParams
 from srled.cli import _resolve_params, build_parser, main
 from srled.model import MAX_GRID_POINTS
 from srled.sweep import read_rows
@@ -217,6 +218,9 @@ def test_invalid_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")
     assert main(["g2", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown config key 'bogus'")
+    with pytest.raises(InvalidParamsError):
+        _resolve_params(build_parser().parse_args(["g2", "--config", str(cfg)]))
     cfg.write_text("pump = abc\n")
     assert main(["g2", "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err

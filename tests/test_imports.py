@@ -125,7 +125,8 @@ def test_no_unread_dataclass_fields():
 
 
 ORACLES = ROOT / "tests" / "oracles.py"
-QUADRATURE = ROOT / "src" / "srled" / "quadrature.py"
+# the modules whose code the oracles check, so must not share
+CHECKED = [ROOT / "src" / "srled" / name for name in ("quadrature.py", "g2.py")]
 
 
 def _import_targets(node: ast.AST) -> list[str]:
@@ -146,13 +147,14 @@ def test_package_does_not_import_oracles():
     assert not offenders, f"srled imports the test oracles: {', '.join(offenders)}"
 
 
-def test_oracles_import_nothing_quadrature_defines():
+def test_oracles_import_nothing_quadrature_or_g2_defines():
     # an oracle must not share the code it checks: no name that
-    # srled.quadrature defines, whether imported from it, re-exported by
-    # another srled module, or read as an attribute of a name an srled
-    # import binds (a module such as srled.g2)
-    shared = {"quadrature"} | {name for name in _defined(ast.parse(QUADRATURE.read_text()))
-                               if "." not in name}
+    # srled.quadrature or srled.g2 defines, whether imported from it,
+    # re-exported by another srled module, or read as an attribute of a
+    # name an srled import binds (a module such as srled.photon)
+    shared = {path.stem for path in CHECKED} | {
+        name for path in CHECKED for name in _defined(ast.parse(path.read_text()))
+        if "." not in name}
     tree = ast.parse(ORACLES.read_text())
     srled_names = set()
     offenders = []
@@ -168,7 +170,7 @@ def test_oracles_import_nothing_quadrature_defines():
     offenders += [f"{node.value.id}.{node.attr} (line {node.lineno})" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in srled_names and node.attr in shared]
-    assert not offenders, f"oracles.py reads srled.quadrature: {', '.join(offenders)}"
+    assert not offenders, f"oracles.py reads srled.quadrature or srled.g2: {', '.join(offenders)}"
 
 
 FOOTPRINT = """

@@ -22,7 +22,6 @@ from srled import (
     MonteCarloConfig,
     RecordTooLongError,
     StepTooLargeError,
-    TooFewRecordsError,
     derive_populations,
     estimate_moments,
     ou_population_path,
@@ -245,8 +244,10 @@ class TestColoredNoise:
         assert var == pytest.approx(1.0 / config.dt, rel=0.02)
 
     def test_zero_spectrum_gives_zero_series(self, ex1, ex1_pops):
+        # drawn like any spectrum, with amplitude 0 in every bin
         config = MonteCarloConfig.for_model(ex1, ex1_pops)
         series = synthesize_colored_noise(_flat_density(0.0), config, record_rng(config, 0))
+        assert series.shape == (config.n_samples,) and series.dtype == complex
         assert np.all(series == 0.0)
 
     def test_commutator_variance_is_unity(self, ex1, ex1_pops):
@@ -749,9 +750,12 @@ class TestEstimateMoments:
         assert abs(est.g2 - 1.0) <= 3.0 * est.g2_se + 1e-3
 
     def test_too_few_records(self):
+        # the ensemble rule of MonteCarloConfig: 30 records or more
         rng = np.random.default_rng(3)
-        with pytest.raises(TooFewRecordsError):
-            estimate_moments(self._thermal_records(rng, n_records=10))
+        for n_records in (10, 29):
+            with pytest.raises(InvalidParamsError, match="at least 30 records"):
+                estimate_moments(self._thermal_records(rng, n_records=n_records))
+        assert estimate_moments(self._thermal_records(rng, n_records=30)).n_records == 30
 
     def test_sanity_bound(self):
         rng = np.random.default_rng(4)
