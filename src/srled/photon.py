@@ -118,7 +118,7 @@ def _fluctuation_exact(params, pops):
     num = 2.0 * b * b + (4.0 * k + 2.0) * a + ((4.0 * k + 3.0) * b + (2.0 * k + 1.0) * g) * g
     den = 2.0 * a * b * b * (b + g) * (4.0 * a + (2.0 * b + g) * g)
     val = pops.delta2_ne * fluctuation_coupling(params) ** 2 * num / den
-    return val, 32.0 * np.finfo(float).eps * val
+    return val, 32.0 * float(np.finfo(float).eps) * val
 
 
 def mean_photon_quadrature(params: ModelParams, pops: Populations,

@@ -121,7 +121,7 @@ def compute_row(spec: SweepSpec, value: float) -> SweepRow:
         params = spec.params_at(value)
         row.validity_ratio = validity_ratio(params)
         if row.validity_ratio > _VALIDITY_WARN:
-            flags.append("validity_ratio_above_0.1")
+            flags.append(f"validity_ratio_above_{_VALIDITY_WARN}")
         pops = derive_populations(params)
         mp = mean_photon_closed(params, pops)
         row.n0, row.delta_n, row.n_closed = mp.n0, mp.delta_n, mp.n_total

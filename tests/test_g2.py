@@ -56,6 +56,22 @@ NARROW_PEAK = ModelParams.from_ratio(0.1, gamma_par=0.01, pump=1.5, n_threshold=
                                      n_emitters=20.0)
 
 
+# noise_cumulant (value, error) and g2_bruteforce (g2, error), frozen bit for
+# bit, keyed by mode and gamma_par at EX1 otherwise: the tensor rule's
+# products keep their order, so a moved operation changes the last bits.
+# ROADMAP items 12 and 14, which replace the rule, retire this table.
+GOLDEN_CUMULANT = {
+    ("delta", 0.1): ((5.160613728711126, 1.0720313525780512e-12),
+                     (2.177556086475149, 1.6285560540666308e-11)),
+    ("full", 0.1): ((4.158187509003727, 4.6074255521943996e-11),
+                    (2.1472115233621327, 1.5232394824303266e-11)),
+    ("full", 1e-3): ((5.148487301220352, 8.970602038971265e-13),
+                     (2.1771939148397537, 1.6172677315494025e-11)),
+    ("full", 1.0): ((1.236212620657443, 3.3435534341208495e-09),
+                    (2.0507404965710347, 1.4228431226849872e-10)),
+}
+
+
 class TestG2Closed:
     def test_thermal_without_fluctuations(self, ex1, ex1_pops):
         res = g2_closed(ex1, ex1_pops.without_fluctuations())
@@ -173,6 +189,14 @@ class TestNoiseCumulant:
         for mode in ("delta", "full"):
             val, err = noise_cumulant(ex1, ex1_pops, mode=mode)
             assert err < 1e-6 * val
+
+    @pytest.mark.parametrize("mode, gamma_par", list(GOLDEN_CUMULANT))
+    def test_golden_cumulant(self, ex1, mode, gamma_par):
+        params = dataclasses.replace(ex1, gamma_par=gamma_par)
+        pops = derive_populations(params)
+        res = g2_bruteforce(params, pops, mode=mode)
+        assert (noise_cumulant(params, pops, mode=mode), (res.g2, res.error)) \
+            == GOLDEN_CUMULANT[mode, gamma_par]
 
     def test_full_matches_root_sum_ex1(self, ex1, ex1_pops):
         root_sum = cumulant_full_root_sum(ex1, ex1_pops)

@@ -147,6 +147,29 @@ def test_package_does_not_import_oracles():
     assert not offenders, f"srled imports the test oracles: {', '.join(offenders)}"
 
 
+def _modules(node: ast.AST) -> list[str]:
+    """Absolute modules an import statement loads, a relative one read in
+    srled; [] for other nodes."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if not node.level:
+        return [node.module]
+    if node.module:
+        return [f"srled.{node.module}"]
+    return [f"srled.{alias.name}" for alias in node.names]
+
+
+def test_quadrature_imports_no_srled_module_but_errors():
+    # the adaptive integrator is a leaf of the package: the fixed rules of
+    # the cumulant and everything else that reads the model live in g2
+    tree = ast.parse((ROOT / "src" / "srled" / "quadrature.py").read_text())
+    loaded = {module for node in ast.walk(tree) for module in _modules(node)
+              if module.split(".")[0] == "srled"}
+    assert loaded <= {"srled.errors"}, f"srled.quadrature imports {sorted(loaded)}"
+
+
 def test_oracles_import_nothing_quadrature_or_g2_defines():
     # an oracle must not share the code it checks: no name that
     # srled.quadrature or srled.g2 defines, whether imported from it,

@@ -13,12 +13,16 @@ from hypothesis import strategies as st
 from srled import (
     AboveThresholdError,
     ModelParams,
+    MonteCarloConfig,
     NonConvergenceError,
     derive_populations,
+    g2_bruteforce,
+    g2_closed,
     integrate_1d,
     mean_photon_closed,
     mean_photon_quadrature,
     photon_number_spectrum,
+    run_monte_carlo,
     validity_ratio,
 )
 from srled.model import loop_coefficients
@@ -294,11 +298,10 @@ class TestMeanPhotonQuadrature:
     def test_exact_fluctuation_is_cumulant_kernel_diagonal(self, ex1, ex1_pops):
         # the full cumulant's production kernel on its diagonal, under its
         # outer rule, against the closed form of exact n
-        from srled.g2 import _kernel_matrix
+        from srled.g2 import OUTER_NODES, _kernel_matrix, _outer_rule
         from srled.model import fluctuation_coupling
-        from srled.quadrature import OUTER_NODES, commutator_rule
 
-        omega, wc = commutator_rule(ex1, ex1_pops, OUTER_NODES)
+        omega, wc = _outer_rule(ex1, ex1_pops, OUTER_NODES)
         kdiag = np.diag(_kernel_matrix(ex1, ex1_pops, omega, omega, "full"))
         expected = fluctuation_coupling(ex1) ** 2 / (2.0 * np.pi) * float(wc @ kdiag.real)
         assert np.all(np.abs(kdiag.imag) <= 1e-14 * kdiag.real)
@@ -323,3 +326,17 @@ class TestMeanPhotonQuadrature:
             finally:
                 tracemalloc.stop()
         assert peaks["exact"] < peaks["cumulant"], peaks
+
+
+def test_result_float_fields_are_python_floats(ex1, ex1_pops):
+    # a numpy scalar would print as np.float64(...) in a result's repr
+    config = MonteCarloConfig.for_model(ex1, ex1_pops, n_records=30)
+    results = [mean_photon_closed(ex1, ex1_pops), g2_closed(ex1, ex1_pops),
+               run_monte_carlo(ex1, ex1_pops, config)]
+    results += [mean_photon_quadrature(ex1, ex1_pops, mode=mode) for mode in ("delta", "exact")]
+    results += [g2_bruteforce(ex1, ex1_pops, mode=mode) for mode in ("delta", "full")]
+    for res in results:
+        for field in dataclasses.fields(res):
+            value = getattr(res, field.name)
+            if "float" in field.type and value is not None:
+                assert type(value) is float, (res, field.name)

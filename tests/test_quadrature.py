@@ -1,5 +1,6 @@
-"""Adaptive integration contracts, the grid half-width rule and the fixed
-rules of the population-smoothed paths."""
+"""Adaptive integration contracts of srled.quadrature and the grid
+half-width rule; beside them, the fixed rules of the cumulant in srled.g2:
+its outer tan-map rule and the Cauchy-smoothed inverse loop filter."""
 
 import dataclasses
 import warnings
@@ -18,12 +19,8 @@ from srled import (
     mean_photon_quadrature,
 )
 from srled import g2
+from srled.g2 import OUTER_NODES, _outer_rule, smoothed_inverse_filter
 from srled.model import loop_coefficients, loop_denominator, widest_rate
-from srled.quadrature import (
-    OUTER_NODES,
-    smoothed_inverse_filter,
-    tan_map_rule,
-)
 
 
 class TestIntegrate1D:
@@ -80,36 +77,44 @@ class TestIntegrate1D:
 
 
 class TestTanMapRule:
+    # g2._outer_rule: the tan-map nodes omega_j at the widest rate and the
+    # weights w_j c(omega_j) of the cumulant's outer rule
     @staticmethod
-    def uncached(scale, n_nodes):
+    def uncached(params, pops, n_nodes):
         x, w = np.polynomial.legendre.leggauss(n_nodes)
         phi = 0.5 * np.pi * x
         cos = np.cos(phi)
-        return scale * np.tan(phi), scale * 0.5 * np.pi * w / (cos * cos)
+        scale = widest_rate(params, pops)
+        omega = scale * np.tan(phi)
+        return omega, scale * 0.5 * np.pi * w / (cos * cos) * commutator_spectrum(params, pops,
+                                                                                    omega)
 
     @pytest.mark.parametrize("n_nodes", [100, 200, 7])
-    @pytest.mark.parametrize("scale", [1.0, 0.37])
-    def test_matches_uncached_rule_exactly(self, scale, n_nodes):
+    @pytest.mark.parametrize("kappa", [1.0, 0.37])  # widest rates 2.07 and 1.26
+    def test_matches_uncached_rule_exactly(self, ex1, kappa, n_nodes):
+        params = dataclasses.replace(ex1, kappa=kappa)
+        pops = derive_populations(params)
         for _ in range(2):  # the first call may build the unit rule, the second reads it
-            omega, weights = tan_map_rule(scale, n_nodes)
-            ref_omega, ref_weights = self.uncached(scale, n_nodes)
+            omega, weights = _outer_rule(params, pops, n_nodes)
+            ref_omega, ref_weights = self.uncached(params, pops, n_nodes)
             assert np.array_equal(omega, ref_omega)
             assert np.array_equal(weights, ref_weights)
 
     @pytest.mark.parametrize("n_nodes", [OUTER_NODES // 2, OUTER_NODES])
-    @pytest.mark.parametrize("scale", [1.0, 0.37])
-    def test_nodes_are_odd(self, scale, n_nodes):
+    @pytest.mark.parametrize("kappa", [1.0, 0.37])
+    def test_nodes_are_odd(self, ex1, kappa, n_nodes):
         # the tensor rules' outer grids are their own mirrors, so
         # noise_cumulant(mode="full") forms the kernel on the rows a > 0 only
-        omega, _ = tan_map_rule(scale, n_nodes)
+        params = dataclasses.replace(ex1, kappa=kappa)
+        omega, _ = _outer_rule(params, derive_populations(params), n_nodes)
         assert np.array_equal(omega, -omega[::-1])
 
-    def test_returned_arrays_are_fresh(self):
-        omega, weights = tan_map_rule(0.37, 7)
+    def test_returned_arrays_are_fresh(self, ex1, ex1_pops):
+        omega, weights = _outer_rule(ex1, ex1_pops, 7)
         ref_omega, ref_weights = omega.copy(), weights.copy()
         omega[:] = np.nan
         weights *= 2.0
-        again = tan_map_rule(0.37, 7)
+        again = _outer_rule(ex1, ex1_pops, 7)
         assert np.array_equal(again[0], ref_omega)
         assert np.array_equal(again[1], ref_weights)
 
@@ -117,7 +122,7 @@ class TestTanMapRule:
 def _grid(params, pops, grid):
     if grid == "not mirror-closed":
         return np.array([0.7, -0.3, 2.0])
-    return tan_map_rule(widest_rate(params, pops), grid)[0]
+    return _outer_rule(params, pops, grid)[0]
 
 
 class TestSmoothedInverseFilter:
