@@ -12,7 +12,6 @@ from .errors import (
     ModelError,
     NonConvergenceError,
     RecordTooLongError,
-    StepTooLargeError,
 )
 from .g2 import (
     G2Result,
@@ -65,7 +64,6 @@ __all__ = [
     "NonConvergenceError",
     "Populations",
     "RecordTooLongError",
-    "StepTooLargeError",
     "SweepRow",
     "SweepSpec",
     "commutator_spectrum",

@@ -24,10 +24,6 @@ class NonConvergenceError(ModelError, RuntimeError):
     """Adaptive quadrature exhausted its subdivision budget."""
 
 
-class StepTooLargeError(ModelError, ValueError):
-    """Time step too coarse to resolve the population decay rate."""
-
-
 class RecordTooLongError(ModelError, ValueError):
     """A Monte Carlo record would exceed the record-length budget."""
 

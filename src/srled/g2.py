@@ -18,7 +18,10 @@ same fixed outer rule, Gauss-Legendre on the whole real line through
 omega = scale * tan(phi), exponentially convergent for the rational
 spectra of this model (they decay at least like omega^-2); the unit rule
 is built once per node count, and the error of C is the change from
-OUTER_NODES to half as many. K is formed on the outer nodes only: in the
+OUTER_NODES to half as many. A C whose error is half its value or more
+resolves nothing, and is refused with NonConvergenceError: the fixed rule
+misses a peak of |s|^-2 narrower than its nodes (large N_0, or near
+threshold). K is formed on the outer nodes only: in the
 full mode it is smoothed_inverse_filter, the exact Cauchy-smoothed
 inverse loop filter. K(-a, -b) = conj K(a, b), the tan-map grid is its own
 mirror, so the full mode forms and sums only the rows a > 0. In the delta
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, NonConvergenceError
 from .model import (
     ModelParams,
     Populations,
@@ -167,8 +170,10 @@ def noise_cumulant(params: ModelParams, pops: Populations,
 
     Returns (value, refinement_error): the value at OUTER_NODES, the error
     its distance from the same rule at half as many nodes. Nonnegative by
-    construction (the integrand is c c |K|^2 >= 0); zero when fluctuations
-    are disabled.
+    construction (the integrand is c c |K|^2 >= 0); (0, 0) when fluctuations
+    are disabled. Raises NonConvergenceError when the error is half the
+    value or more: the rule then misses a peak narrower than its nodes, and
+    the value resolves nothing.
     """
     _check_below_threshold(params, pops)
     if mode not in ("delta", "full"):
@@ -186,7 +191,12 @@ def noise_cumulant(params: ModelParams, pops: Populations,
         values.append(fold * 4.0 / (2.0 * np.pi) ** 2
                       * float(wc[first:] @ (np.abs(kmat) ** 2) @ wc))
     fine, coarse = values
-    return fine, abs(fine - coarse)
+    error = abs(fine - coarse)
+    if not error < 0.5 * fine:
+        raise NonConvergenceError(
+            f"{mode} cumulant {fine:.6g} changes by {error:.3g} at half the {OUTER_NODES} "
+            "outer nodes; the fixed rule misses a peak narrower than its nodes")
+    return fine, error
 
 
 def g2_bruteforce(params: ModelParams, pops: Populations, mode: str = "delta") -> G2Result:

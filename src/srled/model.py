@@ -80,12 +80,25 @@ class Populations:
     inversion   N = N_e - N_g, N_g the mean lower-state population
     delta2_ne   upper-state population fluctuation dispersion
     gamma_p     pump-broadened population decay rate gamma_par (P+1)
+
+    Only states that derive_populations can produce are built:
+    InvalidParamsError unless gamma_p is positive, n_excited and delta2_ne
+    are nonnegative, and all four are finite.
     """
 
     n_excited: float
     inversion: float
     delta2_ne: float
     gamma_p: float
+
+    def __post_init__(self):
+        if not 0.0 < self.gamma_p < math.inf:
+            raise InvalidParamsError(f"gamma_p must be positive and finite, got {float(self.gamma_p)!r}")
+        for name in ("n_excited", "delta2_ne"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise InvalidParamsError(f"{name} must be >= 0 and finite, got {float(getattr(self, name))!r}")
+        if not math.isfinite(self.inversion):
+            raise InvalidParamsError(f"inversion must be finite, got {float(self.inversion)!r}")
 
     def without_fluctuations(self) -> "Populations":
         """Counterfactual copy with population fluctuations disabled."""

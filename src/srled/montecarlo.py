@@ -81,7 +81,15 @@ returns it with its v_d.
 A record holds at most ``MAX_RECORD_SAMPLES`` samples; a longer one (small
 gamma_p, or the slow pole of 1/s near threshold, needs records of about
 50/gamma_p or 50/x-) is refused with ``RecordTooLongError`` before anything
-is allocated.
+is allocated. ``check_config`` is the one check of a record against the
+model, and ``run_monte_carlo`` and ``simulate_field_record`` make it before
+they draw: T >= MIN_CYCLES / min(gamma_p, x-), Nyquist >= NYQUIST_FACTOR
+times the widest rate, and gamma_p dt <= MAX_DECAY_STEP, each refused with
+``InvalidParamsError``. ``MonteCarloConfig.for_model`` picks a config that
+meets all three. The model side needs no check of its own: ``Populations``
+refuses a nonpositive gamma_p or a negative delta2_ne when built. The AR(1)
+population path is exact at any step, so ``ou_population_path`` takes any
+config.
 
 The AR(1) step x[0] = sd xi_0, x[j] = rho x[j-1] + sigma xi_j is forward
 substitution on the unit lower-bidiagonal system (I - rho S) x = b, S the
@@ -107,7 +115,6 @@ from .errors import (
     InvalidParamsError,
     ModelError,
     RecordTooLongError,
-    StepTooLargeError,
     _require_integers,
 )
 from .model import (
@@ -176,17 +183,17 @@ class MonteCarloConfig:
     @classmethod
     def for_model(cls, params: ModelParams, pops: Populations,
                   n_records: int = 500, seed: int = 0) -> "MonteCarloConfig":
-        """Pick dt and T from the model scales.
+        """Pick dt and T from the model scales, to meet the three bounds
+        of check_config.
 
         Nyquist >= NYQUIST_FACTOR * widest_rate and
         T >= MIN_CYCLES / min(gamma_p, slowest_rate), so the record resolves
         the broad field spectrum, the narrow population spectrum and the
-        slow pole of 1/s near threshold, and gamma_p dt <= MAX_DECAY_STEP for
-        the AR(1) population path. Raises RecordTooLongError when that takes
-        more than MAX_RECORD_SAMPLES.
+        slow pole of 1/s near threshold, and gamma_p dt <= MAX_DECAY_STEP, so
+        the band also holds the population spectrum where gamma_p is the
+        widest rate. Raises RecordTooLongError when that takes more than
+        MAX_RECORD_SAMPLES.
         """
-        if pops.gamma_p <= 0.0:
-            raise InvalidParamsError("gamma_p must be positive")
         # a hair under the decay cap, so gamma_p dt cannot round above it
         dt = min(np.pi / (NYQUIST_FACTOR * widest_rate(params, pops)),
                  MAX_DECAY_STEP * (1.0 - 1e-12) / pops.gamma_p)
@@ -226,14 +233,17 @@ def _rekey(bitgen: np.random.Philox, seed: int, record_index: int) -> None:
 
 def _min_duration(params: ModelParams, pops: Populations) -> float:
     """MIN_CYCLES over the slower of gamma_p and the loop's slowest rate x-."""
-    slow = slowest_rate(params, pops)
-    if pops.gamma_p > 0.0:
-        slow = min(slow, pops.gamma_p)
-    return MIN_CYCLES / slow
+    return MIN_CYCLES / min(slowest_rate(params, pops), pops.gamma_p)
 
 
 def check_config(params: ModelParams, pops: Populations, config: MonteCarloConfig) -> None:
-    """Enforce the resolution invariants before simulating."""
+    """InvalidParamsError unless the record resolves the model: the one
+    check of a config against a model, made before anything is drawn.
+
+    T >= MIN_CYCLES / min(gamma_p, x-), Nyquist >= NYQUIST_FACTOR
+    widest_rate, and gamma_p dt <= MAX_DECAY_STEP; for_model picks a
+    config that meets all three.
+    """
     need = _min_duration(params, pops)
     if config.duration < need * (1.0 - 1e-9):
         raise InvalidParamsError(
@@ -246,6 +256,9 @@ def check_config(params: ModelParams, pops: Populations, config: MonteCarloConfi
         raise InvalidParamsError(
             f"Nyquist {nyquist:.3g} below {NYQUIST_FACTOR:g}x the widest spectral rate"
         )
+    if pops.gamma_p * config.dt > MAX_DECAY_STEP:
+        raise InvalidParamsError(
+            f"gamma_p dt = {pops.gamma_p * config.dt:.3g} > {MAX_DECAY_STEP:g}; refine the sampling")
 
 
 # -- draw: one record's Gaussian variates from its own stream ----------------
@@ -289,11 +302,6 @@ def _ou_constants(pops: Populations, config: MonteCarloConfig):
     """
     if pops.delta2_ne == 0.0:
         return None
-    if pops.gamma_p * config.dt > MAX_DECAY_STEP:
-        raise StepTooLargeError(
-            f"gamma_p dt = {pops.gamma_p * config.dt:.3g} > {MAX_DECAY_STEP:g}; "
-            "refine the sampling"
-        )
     rho = math.exp(-pops.gamma_p * config.dt)
     band = np.empty((2, config.n_samples), order="F")
     band[0] = 1.0
@@ -400,8 +408,8 @@ def ou_population_path(pops: Populations, config: MonteCarloConfig,
 
     The OU process observed at step dt is exactly AR(1) with
     rho = exp(-gamma_p dt), so the recursion introduces no discretization
-    bias. The first sample is an exact stationary draw, so no burn-in is
-    needed.
+    bias at any step; no bound on gamma_p dt applies to the path alone. The
+    first sample is an exact stationary draw, so no burn-in is needed.
     """
     ou = _ou_constants(pops, config)
     if ou is None:

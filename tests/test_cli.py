@@ -214,6 +214,16 @@ def test_nonpositive_quadrature_n_is_clean_error(capsys):
     assert ": not positive" in capsys.readouterr().err
 
 
+def test_unresolved_cumulant_is_clean_error(capsys):
+    # at N_0 = 1e6 the cumulant's node-halving error is nearly all of it,
+    # and the g2 it gives, 2.0002658 +- 0.00027, misses the closed 2.0946765
+    assert main(["g2", "--n-emitters", "1e6"]) == 2
+    captured = capsys.readouterr()
+    assert "cumulant-delta" not in captured.out
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: delta cumulant")
+
+
 def test_invalid_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from srled import (
     InvalidParamsError,
     ModelParams,
+    NonConvergenceError,
     derive_populations,
     g2_bruteforce,
     g2_closed,
@@ -245,26 +246,44 @@ class TestG2Bruteforce:
         assert res.method == METHOD_FULL
         assert res.g2 == pytest.approx(EX1_ORACLE["g2_full"], rel=1e-10)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: the fixed outer rule misses "
-                       "the full cumulant near threshold, far beyond its error estimate")
+    @pytest.mark.xfail(strict=True, raises=NonConvergenceError,
+                       reason="ROADMAP item 12: the fixed outer rule misses the full cumulant "
+                       "near threshold, so noise_cumulant refuses it until items 12 and 14 land")
     def test_full_near_threshold_within_its_error_of_root_sum(self):
         params = dataclasses.replace(near_threshold(0.99), gamma_par=1e-3)
         pops = derive_populations(params)
         n_exact, _ = reference_exact_n(params)
         root_sum_g2 = 2.0 + fluctuation_coupling(params) ** 4 \
             * cumulant_full_root_sum(params, pops) / n_exact ** 2
-        res = g2_bruteforce(params, pops, mode="full")  # 2.01094 +- 0.0106 against 4.14125
+        # the rule's g2 here is 2.01094 +- 0.0106 against 4.14125: C changes
+        # by 0.97 of itself at half the nodes, so noise_cumulant refuses it
+        res = g2_bruteforce(params, pops, mode="full")
         assert abs(res.g2 - root_sum_g2) <= res.error
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the fixed outer rule of the "
-                       "delta cumulant misses a narrow peak of |s|^-2")
+    @pytest.mark.xfail(strict=True, raises=NonConvergenceError,
+                       reason="ROADMAP item 14: the fixed outer rule of the delta cumulant misses "
+                       "a narrow peak of |s|^-2, so noise_cumulant refuses it until items 12 "
+                       "and 14 land")
     @pytest.mark.parametrize("params", [NARROW_PEAK, dataclasses.replace(EX1, n_emitters=1e6)],
                              ids=["narrow-peak", "ex1-n0-1e6"])
     def test_delta_matches_closed_at_narrow_peaks(self, params):
-        # today 2.16783 +- 0.159 against 2.806037, and 2.000266 +- 0.00027
-        # against 2.094677; criterion 3 asks for 1e-4
+        # the rule's g2 here is 2.16783 +- 0.159 against 2.806037, and
+        # 2.000266 +- 0.00027 against 2.094677: C changes by 0.945 and 0.9996
+        # of itself at half the nodes, so noise_cumulant refuses it;
+        # criterion 3 asks for 1e-4
         pops = derive_populations(params)
         assert abs(g2_bruteforce(params, pops, mode="delta").g2 - g2_closed(params, pops).g2) < 1e-4
+
+    @pytest.mark.parametrize("mode", ["delta", "full"])
+    @pytest.mark.parametrize("n_emitters", [1e4, 1e8, 1e12])
+    def test_cumulant_refuses_what_its_error_does_not_resolve(self, ex1, mode, n_emitters):
+        # the |s|^-2 peak narrows as N_0 grows; at 1e4 and above the
+        # node-halving error of C is most of C
+        params = dataclasses.replace(ex1, n_emitters=n_emitters)
+        with pytest.raises(NonConvergenceError, match="half the 200 outer nodes"):
+            noise_cumulant(params, derive_populations(params), mode)
+        value, error = noise_cumulant(ex1, derive_populations(ex1), mode)
+        assert 0.0 < error < 0.5 * value
 
     def test_full_within_one_percent_at_small_gamma_par(self, ex1):
         params = dataclasses.replace(ex1, gamma_par=0.001)

@@ -1,6 +1,7 @@
 """Every module of the package and the tests reads each name it imports,
 every definition of the package is read by the package or the tests, every
-dataclass field of the package is read by the package itself, no path of the
+dataclass field of the package is read by the package itself, every error
+type of ``srled.errors`` is raised somewhere in the package, no path of the
 package loads a scipy module beyond those ``import srled`` loads (and never
 ``scipy.signal``), and the oracles of ``tests/oracles.py`` share no code
 with what they check.
@@ -122,6 +123,23 @@ def test_no_unread_dataclass_fields():
     unread = [f"{path.name}:{line} {name}" for path, tree in trees.items()
               for name, line in _fields(tree).items() if name.split(".")[-1] not in read]
     assert not unread, f"dataclass fields the package never reads: {', '.join(unread)}"
+
+
+def _raised(tree: ast.Module) -> set[str]:
+    """Names raised by ``raise Name`` or ``raise Name(...)``."""
+    excs = [n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+            for n in ast.walk(tree) if isinstance(n, ast.Raise)]
+    return {e.id for e in excs if isinstance(e, ast.Name)}
+
+
+def test_every_error_type_has_a_raiser():
+    # an exception class nothing raises is an export that promises a refusal
+    # the package no longer makes
+    errors = ast.parse((ROOT / "src" / "srled" / "errors.py").read_text())
+    types = [n.name for n in errors.body if isinstance(n, ast.ClassDef)]
+    raised = set().union(*(_raised(ast.parse(path.read_text())) for path in PACKAGE))
+    unraised = [t for t in types if t not in raised]
+    assert types and not unraised, f"error types nothing raises: {', '.join(unraised)}"
 
 
 ORACLES = ROOT / "tests" / "oracles.py"

@@ -103,6 +103,18 @@ class TestDerivePopulations:
             ModelParams(kappa=1e200, gamma_par=0.1, pump=0.1,
                         n_threshold=1e-200, n_emitters=20.0)
 
+    @pytest.mark.parametrize("bad", [
+        {"gamma_p": -0.11}, {"gamma_p": 0.0}, {"gamma_p": math.nan}, {"gamma_p": math.inf},
+        {"delta2_ne": -1.0}, {"delta2_ne": math.inf}, {"n_excited": -1.0},
+        {"n_excited": math.nan}, {"inversion": math.nan}, {"inversion": -math.inf},
+    ], ids=repr)
+    def test_populations_refuse_what_derive_cannot_produce(self, ex1_pops, bad):
+        # no state derive_populations produces; let through, they would give
+        # a bare ValueError, a frozen population or a dropped population
+        # channel downstream
+        with pytest.raises(InvalidParamsError, match=next(iter(bad))):
+            dataclasses.replace(ex1_pops, **bad)
+
     def test_gamma_perp_is_the_unit(self, ex1):
         # gamma_perp = 1 is the unit of every rate, not a parameter
         assert ModelParams.gamma_perp == ex1.gamma_perp == 1.0

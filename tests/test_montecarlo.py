@@ -21,7 +21,6 @@ from srled import (
     MomentEstimate,
     MonteCarloConfig,
     RecordTooLongError,
-    StepTooLargeError,
     derive_populations,
     estimate_moments,
     ou_population_path,
@@ -30,7 +29,7 @@ from srled import (
     synthesize_colored_noise,
 )
 from srled import montecarlo
-from srled.model import commutator_spectrum, slowest_rate
+from srled.model import commutator_spectrum, slowest_rate, widest_rate
 from srled.montecarlo import (
     MAX_DECAY_STEP,
     MAX_RECORD_SAMPLES,
@@ -187,6 +186,19 @@ class TestConfig:
         with pytest.raises(InvalidParamsError, match="slowest loop rate"):
             run_monte_carlo(params, pops, short)
 
+    def test_decay_step_guard(self, ex1):
+        # gamma_par = 1: dt = 0.2 meets the Nyquist and length bounds, but
+        # gamma_p dt = 0.22 > MAX_DECAY_STEP
+        params = dataclasses.replace(ex1, gamma_par=1.0)
+        pops = derive_populations(params)
+        config = MonteCarloConfig(duration=204.8, n_samples=1024, n_records=30)
+        assert pops.gamma_p * config.dt == pytest.approx(0.22)
+        assert np.pi / config.dt >= 10.0 * widest_rate(params, pops)
+        assert config.duration >= MIN_CYCLES / min(pops.gamma_p, slowest_rate(params, pops))
+        for run in (run_monte_carlo, check_config):
+            with pytest.raises(InvalidParamsError, match="gamma_p dt"):
+                run(params, pops, config)
+
     def test_nyquist_guard_uses_widest_rate(self, ex1, ex1_pops):
         # Nyquist 12 resolves 10 max(kappa, gamma_perp) = 10 but not the
         # loop resonance sqrt(kappa gamma_perp (1 + |N|/N_th)) ~ 1.46
@@ -197,8 +209,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("gamma_par", [1e-3, 0.01, 0.1, 0.45, 1.0, 3.0])
     def test_for_model_config_runs(self, ex1, gamma_par):
-        # dt is capped at MAX_DECAY_STEP / gamma_p, so the AR(1) step check
-        # accepts what for_model picks even where gamma_p is large
+        # dt is capped at MAX_DECAY_STEP / gamma_p, so check_config's step
+        # bound accepts what for_model picks even where gamma_p is large
         params = dataclasses.replace(ex1, gamma_par=gamma_par)
         pops = derive_populations(params)
         config = MonteCarloConfig.for_model(params, pops, n_records=30, seed=2)
@@ -374,10 +386,21 @@ class TestOUPath:
             assert np.array_equal(
                 paths[i], ou_population_path(ex1_pops, config, record_rng(config, i)))
 
-    def test_step_too_large(self, ex1, ex1_pops):
+    def test_large_step_is_exact_ar1(self, ex1_pops):
+        # gamma_p dt = 0.11, past MAX_DECAY_STEP, which bounds a record
+        # (check_config) and not the path: the OU process sampled at any
+        # step is AR(1), variance delta2_ne and lag-one correlation
+        # exp(-gamma_p dt), from the first sample on
         config = MonteCarloConfig(duration=512.0, n_samples=512)  # dt = 1
-        with pytest.raises(StepTooLargeError):
-            ou_population_path(ex1_pops, config, record_rng(config, 0))
+        assert ex1_pops.gamma_p * config.dt > MAX_DECAY_STEP
+        paths = np.stack([ou_population_path(ex1_pops, config, record_rng(config, i))
+                          for i in range(200)]) / math.sqrt(ex1_pops.delta2_ne)
+        var = np.mean(paths ** 2, axis=1)
+        rho = math.exp(-ex1_pops.gamma_p * config.dt)
+        # the correlation as E[x_j x_j+1] - rho E[x_j^2] = 0, unbiased and
+        # with a tenth of the scatter of the lag-one mean alone
+        for stat in (var - 1.0, np.mean(paths[:, :-1] * paths[:, 1:], axis=1) - rho * var):
+            assert abs(stat.mean()) <= 3.0 * stat.std(ddof=1) / math.sqrt(len(stat))
 
 
 class TestFieldRecords:
