@@ -203,17 +203,29 @@ def g2_bruteforce(params: ModelParams, pops: Populations, mode: str = "delta") -
     """g2 = 2 + (kappa gamma_perp/N_th)^4 C / n^2 with everything numerical.
 
     n comes from the matching mean-photon quadrature mode (delta <-> delta,
-    full <-> exact convolution). Exactly 2 when fluctuations are disabled;
-    noise_cumulant rejects an unknown mode before that shortcut.
+    full <-> exact convolution). The model bounds g2 to [2, 6] in both
+    modes: given the population path the field is circular Gaussian, so
+    E[|a|^4 | path] = 2 V^2 with V its variance. V is quadratic in delta N,
+    V = v_d + Sum_i lambda_i z_i^2 with z_i independent standard normals
+    and every lambda_i >= 0, so E V = v_d + Sum lambda,
+    Var V = 2 Sum lambda^2 and
+
+        g2 = 2 E[V^2] / (E V)^2 = 2 [1 + 2 Sum lambda^2 / (v_d + Sum lambda)^2],
+
+    in [2, 6] since Sum lambda^2 <= (Sum lambda)^2 <= (v_d + Sum lambda)^2.
+    A g2 outside [2, 6] is a numerical miss of C or n, and raises
+    NonConvergenceError.
     """
     cum, cum_err = noise_cumulant(params, pops, mode)
     method = METHOD_DELTA if mode == "delta" else METHOD_FULL
-    if pops.delta2_ne == 0.0:
-        return G2Result(g2=2.0, cumulant=cum, method=method)
     photon_mode = "delta" if mode == "delta" else "exact"
     mp = mean_photon_quadrature(params, pops, mode=photon_mode)
     coup4 = fluctuation_coupling(params) ** 4
     n2 = mp.n_total ** 2
     g2 = 2.0 + coup4 * cum / n2
     err = coup4 * (cum_err / n2 + 2.0 * cum * mp.error / (n2 * mp.n_total))
+    if not 2.0 <= g2 <= 6.0:
+        raise NonConvergenceError(
+            f"{mode} g2 {g2:.6g} +- {err:.3g} is outside the model's [2, 6]; "
+            "the quadrature misses C or n")
     return G2Result(g2=g2, cumulant=cum, method=method, error=err)

@@ -32,7 +32,8 @@ class ModelParams:
 
     kappa        cavity decay rate (units of gamma_perp)
     gamma_par    population decay rate (units of gamma_perp)
-    pump         dimensionless pumping rate P >= 0
+    pump         dimensionless pumping rate P > 0: at P = 0 no emitter is
+                 excited, no light is emitted, and g2 = <n^2>/<n>^2 is 0/0
     n_threshold  threshold inversion N_th > 0
     n_emitters   total emitter count N_0 >= 1
     """
@@ -46,15 +47,9 @@ class ModelParams:
     gamma_perp: ClassVar[float] = 1.0
 
     def __post_init__(self):
-        for name in ("kappa", "gamma_par", "n_threshold"):
+        for name in ("kappa", "gamma_par", "pump", "n_threshold"):
             if not getattr(self, name) > 0.0 or not math.isfinite(getattr(self, name)):
                 raise InvalidParamsError(f"{name} must be positive and finite, got {float(getattr(self, name))!r}")
-        if not self.pump >= 0.0 or not math.isfinite(self.pump):
-            raise InvalidParamsError(f"pump must be >= 0, got {float(self.pump)!r}")
-        if self.pump == 0.0:
-            # -0.0 passes the check above; store it as +0.0, so that N_e
-            # and everything printed from it carry no negative sign
-            object.__setattr__(self, "pump", 0.0)
         if not self.n_emitters >= 1.0 or not math.isfinite(self.n_emitters):
             raise InvalidParamsError(f"n_emitters must be >= 1 and finite, got {float(self.n_emitters)!r}")
         coupling = fluctuation_coupling(self)
@@ -81,9 +76,10 @@ class Populations:
     delta2_ne   upper-state population fluctuation dispersion
     gamma_p     pump-broadened population decay rate gamma_par (P+1)
 
-    Only states that derive_populations can produce are built:
-    InvalidParamsError unless gamma_p is positive, n_excited and delta2_ne
-    are nonnegative, and all four are finite.
+    Only states that derive_populations can produce, and their copy
+    without_fluctuations, are built: InvalidParamsError unless gamma_p and
+    n_excited are positive, delta2_ne is nonnegative, and all four are
+    finite.
     """
 
     n_excited: float
@@ -92,11 +88,11 @@ class Populations:
     gamma_p: float
 
     def __post_init__(self):
-        if not 0.0 < self.gamma_p < math.inf:
-            raise InvalidParamsError(f"gamma_p must be positive and finite, got {float(self.gamma_p)!r}")
-        for name in ("n_excited", "delta2_ne"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise InvalidParamsError(f"{name} must be >= 0 and finite, got {float(getattr(self, name))!r}")
+        for name in ("n_excited", "gamma_p"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InvalidParamsError(f"{name} must be positive and finite, got {float(getattr(self, name))!r}")
+        if not 0.0 <= self.delta2_ne < math.inf:
+            raise InvalidParamsError(f"delta2_ne must be >= 0 and finite, got {float(self.delta2_ne)!r}")
         if not math.isfinite(self.inversion):
             raise InvalidParamsError(f"inversion must be finite, got {float(self.inversion)!r}")
 

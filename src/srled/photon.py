@@ -59,23 +59,23 @@ def photon_number_spectrum(params: ModelParams, pops: Populations, omega):
     """
     _check_below_threshold(params, pops)
     s2 = loop_abs2(params, pops, omega)
-    out = zero_order_level(params, pops) / s2
-    if pops.delta2_ne > 0.0:
-        coup = fluctuation_coupling(params)
-        out = out + pops.delta2_ne * coup ** 2 * commutator_spectrum(params, pops, omega) / s2
-    return out
+    coup = fluctuation_coupling(params)
+    return zero_order_level(params, pops) / s2 \
+        + pops.delta2_ne * coup ** 2 * commutator_spectrum(params, pops, omega) / s2
 
 
 def mean_photon_closed(params: ModelParams, pops: Populations) -> MeanPhotonResult:
-    """Closed-form n0, Delta_n and n."""
+    """Closed-form n0, Delta_n and n.
+
+    Populations admits only N_e > 0, so the dispersion ratio delta2_ne / N_e
+    is an ordinary quotient: 1/(P+1) as derived, 0 without fluctuations.
+    """
     _check_below_threshold(params, pops)
     r = params.kappa_ratio
     gap = params.n_threshold - pops.inversion
     n0 = pops.n_excited / ((1.0 + r) * gap)
     u = gap / params.n_threshold  # = 1 - N/N_th
-    # delta2_ne / N_e, which is 1/(P+1) in the 0/0 at zero pump
-    ratio = pops.delta2_ne / pops.n_excited if pops.n_excited > 0.0 else 1.0 / (params.pump + 1.0)
-    delta_n = ratio / params.n_threshold * (2.0 * r / (1.0 + r) + 2.0 / u)
+    delta_n = pops.delta2_ne / pops.n_excited / params.n_threshold * (2.0 * r / (1.0 + r) + 2.0 / u)
     return MeanPhotonResult(n0=n0, delta_n=delta_n, n_total=n0 * (1.0 + delta_n),
                             method=METHOD_CLOSED)
 
@@ -130,25 +130,23 @@ def mean_photon_quadrature(params: ModelParams, pops: Populations,
     c(omega) delta2_ne by the full convolution with the Lorentzian
     population spectrum, in closed form (_fluctuation_exact), and reports
     the (physical) discrepancy. n0 is an adaptive integral at the default
-    tolerances of integrate_1d; one that is not positive raises
-    NonConvergenceError.
+    tolerances of integrate_1d; the fluctuation term carries the factor
+    delta2_ne, so it is 0 without fluctuations. An n0 that is not positive,
+    or a negative fluctuation term, raises NonConvergenceError: N_e > 0
+    makes both integrands positive.
     """
     _check_below_threshold(params, pops)
     if mode not in ("delta", "exact"):
         raise InvalidParamsError(f"unknown mean-photon mode {mode!r}")
     n0, n0_err = _zero_order_quadrature(params, pops)
-    if pops.delta2_ne == 0.0:
-        fluct, fluct_err = 0.0, 0.0
-    elif mode == "delta":
+    if mode == "delta":
         fluct, fluct_err = _fluctuation_delta_quadrature(params, pops)
     else:
         fluct, fluct_err = _fluctuation_exact(params, pops)
-    if pops.n_excited > 0.0 and not (n0 > 0.0 and fluct >= 0.0):
+    if not (n0 > 0.0 and fluct >= 0.0):
         # both integrands are positive; QUADPACK misses the peak of 1/|s|^2 at
         # sqrt(A) at EX1 with N_0 = 1e12, where n0 came out as -8.6e-13 +- 1e-15
         raise NonConvergenceError(f"n0 {n0:.3g}, fluctuation term {fluct:.3g}: not positive")
-    total = n0 + fluct
-    delta_n = fluct / n0 if n0 > 0.0 else 0.0
     method = METHOD_DELTA if mode == "delta" else METHOD_EXACT
-    return MeanPhotonResult(n0=n0, delta_n=delta_n, n_total=total,
+    return MeanPhotonResult(n0=n0, delta_n=fluct / n0, n_total=n0 + fluct,
                             method=method, error=n0_err + fluct_err)

@@ -203,6 +203,15 @@ def test_validate_skip_montecarlo(capsys):
     assert "Monte Carlo" not in out
 
 
+def test_zero_pump_is_refused(capsys):
+    # at P = 0 no emitter is excited and g2 = <n^2>/<n>^2 is 0/0
+    assert main(["g2", "--pump", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error:") and err.count("\n") == 1 and "pump" in err
+
+
 def test_above_threshold_is_clean_error(capsys):
     assert main(["mean-photon", "--pump", "5.0", "--n-emitters", "100"]) == 2
     assert "error:" in capsys.readouterr().err

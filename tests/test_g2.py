@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srled import (
+    G2Result,
     InvalidParamsError,
     ModelParams,
     NonConvergenceError,
@@ -233,13 +234,33 @@ class TestG2Bruteforce:
         assert abs(brute.g2 - closed) < 1e-6
         assert brute.g2 == pytest.approx(EX1_ORACLE["g2"], abs=1e-4)
 
-    def test_exactly_two_without_fluctuations(self, ex1, ex1_pops):
-        res = g2_bruteforce(ex1, ex1_pops.without_fluctuations(), mode="delta")
-        assert res.g2 == 2.0
-        assert res.cumulant == 0.0
-        # the shortcut does not hide an unknown mode
+    @pytest.mark.parametrize("mode, method", [("delta", METHOD_DELTA), ("full", METHOD_FULL)],
+                             ids=["delta", "full"])
+    def test_exactly_two_without_fluctuations(self, ex1, ex1_pops, mode, method):
+        # no shortcut: C = 0 and the fluctuation term of n is 0 * (its
+        # integral), so the ordinary arithmetic gives 2 with no error
+        frozen = ex1_pops.without_fluctuations()
+        assert g2_bruteforce(ex1, frozen, mode) == G2Result(2.0, 0.0, method, 0.0)
         with pytest.raises(InvalidParamsError):
-            g2_bruteforce(ex1, ex1_pops.without_fluctuations(), mode="bogus")
+            g2_bruteforce(ex1, frozen, mode="bogus")
+
+    @pytest.mark.parametrize("params, modes", [
+        # A/B^2 = 53: QUADPACK finds 0.048 of the closed n, and C resolves
+        (ModelParams(kappa=563.8167823869059, gamma_par=0.00016632015533627018,
+                     pump=0.0016469340762345064, n_threshold=0.10085075560828279,
+                     n_emitters=6048.682828471003), ["delta"]),
+        # the closed g2 is 5.1940
+        (ModelParams(kappa=801.115091456963, gamma_par=0.0028502061246926742,
+                     pump=0.00023264220016943054, n_threshold=0.2516067494980492,
+                     n_emitters=4.137188780924584), ["delta", "full"]),
+    ], ids=["g2-1570", "g2-6.30"])
+    def test_refuses_g2_outside_two_to_six(self, params, modes):
+        # the model bounds g2 to [2, 6] (g2_bruteforce's docstring); these
+        # read 1570 +- 245 and 6.3015 +- 1.08 (delta), 6.2999 +- 1.08 (full)
+        pops = derive_populations(params)
+        for mode in modes:
+            with pytest.raises(NonConvergenceError, match=r"outside the model's \[2, 6\]"):
+                g2_bruteforce(params, pops, mode)
 
     def test_full_mode_ex1(self, ex1, ex1_pops):
         res = g2_bruteforce(ex1, ex1_pops, mode="full")

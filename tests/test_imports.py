@@ -3,8 +3,9 @@ every definition of the package is read by the package or the tests, every
 dataclass field of the package is read by the package itself, every error
 type of ``srled.errors`` is raised somewhere in the package, no path of the
 package loads a scipy module beyond those ``import srled`` loads (and never
-``scipy.signal``), and the oracles of ``tests/oracles.py`` share no code
-with what they check.
+``scipy.signal``), the oracles of ``tests/oracles.py`` share no code with
+what they check, and every function the benchmark's tracer wraps still
+exists under its name, with the argument it splits its span by.
 
 ``srled/__init__.py`` imports names only to export them; test_exports.py
 covers it, and an export alone does not count as a read. ``from __future__``
@@ -12,6 +13,9 @@ imports switch on language features and bind nothing that is read.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import json
 import subprocess
 import sys
@@ -253,3 +257,25 @@ def test_runs_load_no_scipy_module_beyond_import():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+SPANS = ROOT / "perfbench" / "spans.py"
+
+
+def test_benchmark_trace_pins_exist():
+    # perfbench/spans.py wraps each function of its SPANS by name and reads
+    # the argument that splits a span (omega, mode or fmt) by name, so a
+    # renamed function or argument breaks every traced benchmark run
+    spec = importlib.util.spec_from_file_location("srled_bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for modname, entries in spans.SPANS.items():
+        module = importlib.import_module(modname)
+        for fname, split in entries:
+            fn = getattr(module, fname, None)
+            if not callable(fn):
+                missing.append(f"{modname}.{fname}")
+            elif split is not None and split not in inspect.signature(fn).parameters:
+                missing.append(f"{modname}.{fname}({split}=...)")
+    assert not missing, f"perfbench/spans.py traces what srled no longer has: {', '.join(missing)}"

@@ -52,16 +52,19 @@ class TestDerivePopulations:
         assert pops.delta2_ne == pytest.approx(25.0, rel=1e-15)
 
     def test_zero_pump(self):
-        # -0.0 is stored as +0.0, so N_e carries no negative sign
-        for pump in (0.0, -0.0):
-            params = ModelParams(kappa=0.5, gamma_par=0.1, pump=pump,
-                                 n_threshold=5.0, n_emitters=20.0)
-            pops = derive_populations(params)
-            assert pops.n_excited == 0.0
-            assert math.copysign(1.0, pops.n_excited) == 1.0
-            assert pops.inversion == -20.0
-            assert pops.delta2_ne == 0.0
-            assert pops.gamma_p == params.gamma_par
+        # at P = 0 no emitter is excited, no light is emitted, and
+        # g2 = <n^2>/<n>^2 is 0/0; every pump that is not positive and
+        # finite is refused
+        for pump in (0.0, -0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParamsError, match="pump must be positive and finite"):
+                ModelParams(kappa=0.5, gamma_par=0.1, pump=pump,
+                            n_threshold=5.0, n_emitters=20.0)
+        params = ModelParams(kappa=0.5, gamma_par=0.1, pump=1e-300,
+                             n_threshold=5.0, n_emitters=20.0)
+        pops = derive_populations(params)
+        assert pops.n_excited == pops.delta2_ne == 2e-299
+        assert pops.inversion == -20.0
+        assert pops.gamma_p == params.gamma_par
 
     def test_ex1_rationals(self, ex1, ex1_pops):
         o = EX1_ORACLE
@@ -105,7 +108,7 @@ class TestDerivePopulations:
 
     @pytest.mark.parametrize("bad", [
         {"gamma_p": -0.11}, {"gamma_p": 0.0}, {"gamma_p": math.nan}, {"gamma_p": math.inf},
-        {"delta2_ne": -1.0}, {"delta2_ne": math.inf}, {"n_excited": -1.0},
+        {"delta2_ne": -1.0}, {"delta2_ne": math.inf}, {"n_excited": -1.0}, {"n_excited": 0.0},
         {"n_excited": math.nan}, {"inversion": math.nan}, {"inversion": -math.inf},
     ], ids=repr)
     def test_populations_refuse_what_derive_cannot_produce(self, ex1_pops, bad):
@@ -124,7 +127,7 @@ class TestDerivePopulations:
         with pytest.raises(TypeError):
             dataclasses.replace(ex1, gamma_perp=2.0)
 
-    @given(pump=st.floats(0.0, 0.99), n_emitters=st.floats(1.0, 1e4))
+    @given(pump=st.floats(0.0, 0.99, exclude_min=True), n_emitters=st.floats(1.0, 1e4))
     def test_population_closure(self, pump, n_emitters):
         params = ModelParams(kappa=0.5, gamma_par=0.1, pump=pump,
                              n_threshold=5.0, n_emitters=n_emitters)
@@ -216,12 +219,9 @@ class TestPopulationSpectrum:
         val, _ = integrate_1d(lambda w: population_spectrum(ex1_pops, w))
         assert val / (2.0 * np.pi) == pytest.approx(ex1_pops.delta2_ne, rel=1e-8)
 
-    def test_zero_pump_vanishes(self):
-        params = ModelParams(kappa=0.5, gamma_par=0.1, pump=0.0,
-                             n_threshold=5.0, n_emitters=20.0)
-        pops = derive_populations(params)
+    def test_vanishes_without_fluctuations(self, ex1_pops):
         w = np.linspace(-5.0, 5.0, 11)
-        assert np.all(population_spectrum(pops, w) == 0.0)
+        assert np.all(population_spectrum(ex1_pops.without_fluctuations(), w) == 0.0)
 
 
 @pytest.mark.parametrize("evaluate", [

@@ -404,13 +404,6 @@ class TestOUPath:
 
 
 class TestFieldRecords:
-    def test_zero_field_without_emitters_or_noise(self, ex1):
-        params = dataclasses.replace(ex1, pump=0.0)
-        pops = derive_populations(params)  # N_e = 0 and delta2_ne = 0
-        config = MonteCarloConfig.for_model(params, pops)
-        rec, drive_var = simulate_field_record(params, pops, config, record_rng(config, 0))
-        assert drive_var == 0.0 and np.all(rec == 0.0)
-
     def test_gaussian_limit_without_fluctuations(self, ex1, ex1_pops):
         frozen = ex1_pops.without_fluctuations()
         config = MonteCarloConfig.for_model(ex1, frozen, n_records=150, seed=11)

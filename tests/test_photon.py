@@ -114,17 +114,19 @@ class TestMeanPhotonClosed:
         assert res.n_total == pytest.approx(EX1_ORACLE["n"], rel=1e-14)
         assert res.n_total == pytest.approx(res.n0 * (1.0 + res.delta_n), rel=1e-15)
 
-    def test_zero_pump_limit_with_zero_inversion(self):
-        # hand-built populations: N = 0 imposed, dispersion ratio -> 1
-        # (pump -> 0), N_th = 4, 2 kappa/gamma_perp = 1:
-        # Delta_n = (1/4) [2 * (1/2) + 2] = 0.75
-        from srled.model import Populations
-
-        params = ModelParams(kappa=0.5, gamma_par=0.1, pump=0.0,
+    def test_small_pump_limit(self):
+        # P -> 0: the dispersion ratio delta2_ne / N_e = 1/(P+1) -> 1 and
+        # N -> -N_0, so with N_th = 4, N_0 = 20 and 2 kappa/gamma_perp = 1,
+        # Delta_n -> (1/4) [2 * (1/2) + 2/(1 + 20/4)] = 1/3 while n -> 0;
+        # the delta quadrature finds the same
+        params = ModelParams(kappa=0.5, gamma_par=0.1, pump=1e-12,
                              n_threshold=4.0, n_emitters=20.0)
-        pops = Populations(n_excited=0.0, inversion=0.0, delta2_ne=0.0, gamma_p=0.1)
+        pops = derive_populations(params)
         res = mean_photon_closed(params, pops)
-        assert res.delta_n == pytest.approx(0.75, rel=1e-14)
+        assert res.delta_n == pytest.approx(1.0 / 3.0, rel=1e-11)
+        assert res.n_total == pytest.approx(20e-12 / 48.0 * (4.0 / 3.0), rel=1e-11)
+        quad = mean_photon_quadrature(params, pops, mode="delta")
+        assert quad.delta_n == pytest.approx(res.delta_n, rel=1e-5)
 
     def test_fluctuations_disabled(self, ex1, ex1_pops):
         res = mean_photon_closed(ex1, ex1_pops.without_fluctuations())
